@@ -81,6 +81,9 @@ impl DrainMechanism {
         for i in 0..net.routers.len() {
             let node = NodeId(i as u16);
             for p in 0..NUM_PORTS {
+                if net.credits.occ(i, p) == 0 {
+                    continue; // nothing buffered behind this port
+                }
                 for v in 0..net.routers[i].inputs[p].vcs.len() {
                     let vc = &net.routers[i].inputs[p].vcs[v];
                     if vc.packet_fully_buffered() && vc.route.is_none() {

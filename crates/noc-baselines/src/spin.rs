@@ -71,6 +71,9 @@ impl SpinMechanism {
             let i = (self.scan_from + k) % n;
             let r = &net.routers[i];
             for p in 0..r.inputs.len() {
+                if net.credits.occ(i, p) == 0 {
+                    continue; // empty VCs have no waiting head
+                }
                 for (v, vc) in r.inputs[p].vcs.iter().enumerate() {
                     let Some(since) = vc.head_wait_since else {
                         continue;

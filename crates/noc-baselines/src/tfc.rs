@@ -85,13 +85,6 @@ impl Mechanism for TfcMechanism {
         self.bypassed_flits += bypasses;
         net.stats.tfc_bypasses += bypasses;
     }
-
-    /// TFC only reads the snapshot and re-times in-flight flits; it never
-    /// touches buffers, claims or ejection VCs. Arrivals mark their own
-    /// routers dirty when the re-timed flits land.
-    fn touches_credits(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]

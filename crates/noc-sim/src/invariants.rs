@@ -48,6 +48,9 @@ pub struct InvariantState {
     pub violation_count: u64,
     /// Number of end-of-cycle sweeps performed.
     pub sweeps: u64,
+    /// Clean credit lanes compared against a fresh recompute so far. Zero
+    /// after a run means the snapshot-coherence check compared nothing.
+    pub clean_lanes_checked: u64,
 }
 
 impl InvariantState {
@@ -202,29 +205,34 @@ impl Network {
                 }
             }
         }
-        // Credit-snapshot coherence: a router whose dirty bit is clear claims
+        // Credit-snapshot coherence: a lane whose stale bit is clear claims
         // "nothing my snapshot reads has changed since my last refresh" — so
-        // a fresh recompute must match exactly. Dirty routers are refreshed
+        // a fresh recompute must match exactly. Stale lanes are refreshed
         // before the next SA pass and are skipped here. The recompute runs
-        // in place on the SoA lanes and the original is restored afterwards,
-        // so the sweep itself never perturbs engine state.
+        // in place on the clean SoA lanes only and the original is restored
+        // afterwards, so the sweep itself never perturbs engine state.
         for i in 0..self.routers.len() {
-            if self.credit_is_dirty(i) {
+            let clean = crate::soa::ALL_LANES & !self.credits.dirty_lanes(i);
+            if clean == 0 {
                 continue;
             }
+            self.inv.clean_lanes_checked += u64::from(clean.count_ones());
             let (free, slots) = self.credits.router_lanes(i);
             self.credits.recompute_router(
                 &self.routers,
                 &self.nics,
                 i,
+                clean,
                 wormhole,
                 self.cfg.vc_depth,
                 self.fault.as_ref().map(|f| &f.dead),
             );
             let (fresh_free, fresh_slots) = self.credits.router_lanes(i);
+            // Only clean lanes were recomputed, so any difference is theirs.
             if fresh_free != free || (wormhole && fresh_slots != slots) {
                 found.push(format!(
-                    "credit snapshot: router {i} marked clean but snapshot is stale"
+                    "credit snapshot: router {i} lanes {clean:#07b} marked clean but stale: \
+                     free masks {free:x?}, fresh {fresh_free:x?}"
                 ));
             }
             self.credits.restore_router_lanes(i, &free, &slots);

@@ -2,9 +2,12 @@
 //! the simulation loop.
 //!
 //! A mechanism runs twice per cycle around the routers' compute phase. It may
-//! mutate the network freely through the public fields and the forced-move
-//! helpers on [`crate::network::Network`]: drain packets out of VCs, install
-//! them elsewhere, reserve ejection VCs and link slots, and feed statistics.
+//! read the network freely through the public fields, reserve link slots and
+//! feed statistics; state the credit snapshot reads — input-VC buffers,
+//! ejection VCs and their reservations — it mutates only through the SPI
+//! methods on [`crate::network::Network`] (`drain_packet`, `install_packet`,
+//! `set_ej_reserve`, `deliver_ff_flit`, `take_captured`), which keep the
+//! occupancy counters exact and mark the stale credit lanes as they mutate.
 
 use crate::network::Network;
 use noc_types::{PacketId, SchemeKind};
@@ -24,20 +27,6 @@ pub trait Mechanism {
     /// Runs after routers, injection and consumption.
     fn post_cycle(&mut self, net: &mut Network) {
         let _ = net;
-    }
-
-    /// Whether this mechanism mutates state the per-router credit snapshot
-    /// reads: input-VC occupancy, output claims, wormhole in-flight counts,
-    /// or NIC ejection VCs / reservations. When `true` (the conservative
-    /// default) the engine invalidates every router's snapshot each cycle;
-    /// mechanisms that only observe, or only touch in-flight timing, return
-    /// `false` to keep the dirty-tracking fast path (the engine then
-    /// refreshes only routers marked dirty). A mechanism that mutates a
-    /// *known*
-    /// node may instead return `false` and call
-    /// [`Network::credit_touch`] itself.
-    fn touches_credits(&self) -> bool {
-        true
     }
 
     /// Idle-cycle skipping input: `true` when `pre_cycle` and `post_cycle`
@@ -79,10 +68,6 @@ pub struct NoMechanism;
 impl Mechanism for NoMechanism {
     fn kind(&self) -> SchemeKind {
         SchemeKind::None
-    }
-
-    fn touches_credits(&self) -> bool {
-        false
     }
 
     fn quiescent(&self) -> bool {

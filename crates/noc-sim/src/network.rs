@@ -20,7 +20,7 @@
 
 use crate::inbox::Inbox;
 use crate::mechanism::Mechanism;
-use crate::nic::{InjProgress, Nic};
+use crate::nic::{EjReserve, InjProgress, Nic};
 use crate::reservation::ReservationTable;
 use crate::router::{route_compute, try_alloc, try_alloc_ejection, Move, Router};
 use crate::soa::{CreditSoA, CreditView};
@@ -49,8 +49,8 @@ pub struct Network {
     pub nics: Vec<Nic>,
     /// The `SoA` hot core: per-`(router, port)` free-VC bitmasks and wormhole
     /// credit slots (refreshed each cycle before SA), per-port occupancy
-    /// counters, and per-router dirty bits — flat contiguous arrays instead
-    /// of per-router structs.
+    /// counters, and per-router dirty-lane masks — flat contiguous arrays
+    /// instead of per-router structs.
     pub credits: CreditSoA,
     /// Flits in flight toward router input ports, bucketed by arrival
     /// cycle: each entry is `(in_port, flit)`. Same-cycle entries deliver
@@ -182,6 +182,23 @@ impl Network {
         // *arrives* (clearing at send would open a window where the VC looks
         // free while flits are still on the link); every arrival also returns
         // its wormhole flit credit (decrements the upstream in-flight count).
+        //
+        // Arrivals mark no credit lane stale, for routers and NICs alike,
+        // because no lane's recompute can change:
+        // * a head arrives into a VC its only upstream already claimed, so
+        //   that upstream's free bit is already 0;
+        // * a tail arrival clears that claim while the VC is non-empty (it
+        //   holds at least the tail), so the bit stays 0 until the pop that
+        //   releases the VC — which marks;
+        // * a wormhole arrival moves one unit from the upstream `inflight`
+        //   to `buf.len()`; the slot count reads their sum, which is
+        //   unchanged;
+        // * the local input port is snapshotted by no router (its upstream,
+        //   the NIC, reads the VCs directly);
+        // * a flit reaching an ejection VC was allocated through lane
+        //   `(i, Local)`, which that allocation marked, and no refresh falls
+        //   between the send and this delivery one cycle later (reserved
+        //   ejection VCs are un-free already).
         for i in 0..self.inbox_router.len() {
             due.clear();
             self.inbox_router[i].drain_due_into(now, &mut due);
@@ -206,16 +223,18 @@ impl Network {
             for &(port, _) in &due {
                 self.credits.occ_add(i, port, 1);
             }
-            self.credit_touch(i);
         }
         let Network { routers, nics, .. } = self;
         for &(i, port, vcid, is_tail) in &arrivals {
             if port == Direction::Local.index() {
-                // Injection link: the NIC's claim clears when the tail lands
-                // (clearing at send reopens the in-flight window once the
-                // router pipeline is deeper than one cycle).
+                // Injection link: the arrival returns the NIC's flit credit,
+                // and its claim clears when the tail lands (clearing at send
+                // reopens the in-flight window once the router pipeline is
+                // deeper than one cycle).
+                let nic = &mut nics[i];
+                nic.local_inflight[vcid] = nic.local_inflight[vcid].saturating_sub(1);
                 if is_tail {
-                    nics[i].local_claims[vcid] = None;
+                    nic.local_claims[vcid] = None;
                 }
                 continue;
             }
@@ -241,18 +260,15 @@ impl Network {
                 self.nics[i].receive(ej, flit);
             }
             self.last_progress = now;
-            // Ejection VC occupancy feeds this node's local-port snapshot.
-            self.credits.mark_dirty(i);
         }
         self.scratch_due = due;
         self.scratch_arrivals = arrivals;
     }
 
-    /// Marks `node`'s credit snapshot stale, plus its cardinal neighbours'
-    /// (their snapshots read this node's input-VC occupancy as downstream
-    /// state). Mechanisms mutating buffers or claims through the SPI for a
-    /// known node may call this instead of blanket
-    /// [`Network::credit_mark_all`].
+    /// Marks every lane of `node`'s credit snapshot stale, plus every lane
+    /// of its cardinal neighbours (their snapshots read this node's input
+    /// VCs as downstream state). The coarse form, for sites that are not
+    /// per-flit: forced moves, recovery drains, chaos reconfiguration.
     pub fn credit_touch(&mut self, node: usize) {
         self.credits.mark_dirty(node);
         for d in Direction::CARDINAL {
@@ -262,19 +278,10 @@ impl Network {
         }
     }
 
-    /// Marks every router's credit snapshot stale. [`Sim::step`] calls this
-    /// each cycle for mechanisms whose
-    /// [`Mechanism::touches_credits`](crate::Mechanism::touches_credits)
-    /// reports `true` (the conservative default).
+    /// Marks every lane of every router's credit snapshot stale (topology
+    /// changes).
     pub fn credit_mark_all(&mut self) {
         self.credits.mark_all_dirty();
-    }
-
-    /// Whether `node`'s credit snapshot is pending a refresh (invariant
-    /// layer: a *clean* snapshot must match a fresh recompute).
-    #[cfg(feature = "check-invariants")]
-    pub(crate) fn credit_is_dirty(&self, node: usize) -> bool {
-        self.credits.is_dirty(node)
     }
 
     /// The engine's running buffered-flit counts for `node`, per input port
@@ -284,23 +291,11 @@ impl Network {
         self.credits.occ_array(node)
     }
 
-    /// Recounts every router's per-port buffered-flit totals from the
-    /// buffers themselves. [`Sim::step`] calls this around mechanism phases
-    /// that may push or pop input-VC flits without going through the
-    /// engine's tracked sites (`touches_credits`), keeping the empty
-    /// router/port skips in `compute_routers` sound.
-    pub fn recount_buffered(&mut self) {
-        let Network {
-            routers, credits, ..
-        } = self;
-        credits.recount_occupancy(routers);
-    }
-
-    /// Phase 4: refresh the downstream-availability snapshot of every router
-    /// whose inputs changed since its last refresh (see `credit_dirty`; a
-    /// snapshot only depends on this router's outputs, its NIC's ejection
-    /// VCs, and its cardinal neighbours' input VCs, and every mutation of
-    /// those marks the affected routers via [`Network::credit_touch`]).
+    /// Phase 4: refresh the stale lanes of every router's
+    /// downstream-availability snapshot. Lane `(r, p)` depends only on `r`'s
+    /// claims and in-flight counts on output `p` plus the input VCs behind
+    /// it (the NIC's ejection VCs for the local lane), and every mutation of
+    /// those marks exactly that lane — see the event table in DESIGN.md §8.
     fn refresh_downfree(&mut self) {
         let Network {
             routers,
@@ -313,11 +308,10 @@ impl Network {
         let depth = self.cfg.vc_depth;
         let dead = fault.as_ref().map(|f| &f.dead);
         for i in 0..routers.len() {
-            if !credits.is_dirty(i) {
-                continue;
+            let lanes = credits.take_dirty(i);
+            if lanes != 0 {
+                credits.recompute_router(routers, nics, i, lanes, wormhole, depth, dead);
             }
-            credits.clear_dirty(i);
-            credits.recompute_router(routers, nics, i, wormhole, depth, dead);
         }
     }
 
@@ -346,6 +340,7 @@ impl Network {
             Some(f) => (f.mask.as_ref(), f.retrans.as_mut()),
             None => (None, None),
         };
+        let wormhole = cfg.buffer_org == noc_types::BufferOrg::Wormhole;
 
         for i in 0..routers.len() {
             if !credits.router_busy(i) {
@@ -365,16 +360,6 @@ impl Network {
                 now,
                 moves,
             );
-            if !moves.is_empty() {
-                // Moves change this router's outputs (claims, inflight) and
-                // its input-VC occupancy, which its neighbours snapshot.
-                credits.mark_dirty(i);
-                for d in Direction::CARDINAL {
-                    if let Some(nb) = routers[i].outputs[d.index()].neighbor {
-                        credits.mark_dirty(nb.idx());
-                    }
-                }
-            }
             let r = &mut routers[i];
             for m in moves.iter() {
                 let vc = &mut r.inputs[m.in_port].vcs[m.in_vc];
@@ -386,16 +371,27 @@ impl Network {
                     });
                     let pkt = vc.front().expect("allocating empty VC").packet;
                     r.outputs[m.out_port].vc_claimed[out_vc] = Some(pkt);
+                    // A new claim clears a free bit of exactly this lane.
+                    // Ejection included: a 1-flit packet's claim is gone
+                    // again below, but its flit then occupies the VC.
+                    credits.mark_lane(i, m.out_port);
                 }
                 let route = vc.route.expect("moving flit without route");
-                let (mut flit, _freed) = vc.pop_front_sent();
+                let (mut flit, freed) = vc.pop_front_sent();
                 credits.occ_sub(i, m.in_port, 1);
+                // The pop frees the whole VC (tail) or, under wormhole, one
+                // slot of it.
+                if freed || wormhole {
+                    mark_upstream_lane(credits, r, m.in_port);
+                }
                 flit.escape = route.escape;
                 flit.vc = route.out_vc as u8;
                 stats.buffer_reads += 1;
                 // Ejection claims clear at send (the NIC link delivers before
                 // the next credit snapshot); router-to-router claims clear at
-                // tail *delivery* in `deliver_arrivals`.
+                // tail *delivery* in `deliver_arrivals`. No mark: the head of
+                // a longer packet already sits in the ejection VC, so the
+                // free bit stays 0 until `consume`.
                 if flit.kind.is_tail() && m.out_port == Direction::Local.index() {
                     r.outputs[route.out_port].vc_claimed[route.out_vc] = None;
                 }
@@ -405,6 +401,10 @@ impl Network {
                     flit.hops += 1;
                     stats.count_link_hop_at(now, r.id, route.out_port);
                     r.outputs[route.out_port].inflight[route.out_vc] += 1;
+                    if wormhole {
+                        // Slot counts move per flit.
+                        credits.mark_lane(i, route.out_port);
+                    }
                     let nb = r.outputs[route.out_port].neighbor.expect("move off-mesh");
                     let their_in = Direction::from_index(m.out_port).opposite().index();
                     match &mut retrans {
@@ -451,6 +451,7 @@ impl Network {
             ..
         } = self;
         let lp = Direction::Local.index();
+        let wormhole = cfg.buffer_org == noc_types::BufferOrg::Wormhole;
         for (i, nic) in nics.iter_mut().enumerate() {
             // A dead router's NIC picks no new packets (its queues hold);
             // an in-progress injection still finishes streaming so the
@@ -491,6 +492,17 @@ impl Network {
                 }
             }
             if let Some(prog) = &mut nic.inj_active {
+                // Wormhole: the NIC obeys the same flit credits as every
+                // other upstream — it sends only while the local input VC
+                // has a slot neither buffered nor already on the link.
+                if wormhole {
+                    let used = routers[i].inputs[lp].vcs[prog.vc].buf.len()
+                        + usize::from(nic.local_inflight[prog.vc]);
+                    if used >= usize::from(cfg.vc_depth) {
+                        continue;
+                    }
+                }
+                nic.local_inflight[prog.vc] += 1;
                 let mut flit = Flit::from_packet(&prog.packet, prog.next_seq, prog.inject);
                 let vnet = cfg.vnet_of(prog.packet.class);
                 let range = cfg.vc_range(vnet);
@@ -553,7 +565,7 @@ impl Network {
                             self.nics[i].consume_commit(ej);
                             self.stats.e2e_duplicates_dropped += 1;
                             self.last_progress = now;
-                            self.credits.mark_dirty(i);
+                            self.credits.mark_lane(i, Direction::Local.index());
                             #[cfg(feature = "check-invariants")]
                             {
                                 self.inv.consumed_flits += u64::from(d.len_flits);
@@ -569,8 +581,8 @@ impl Network {
                         self.stats.record_delivery(&d);
                         self.last_progress = now;
                         // Freeing an ejection VC changes this node's
-                        // local-port snapshot.
-                        self.credits.mark_dirty(i);
+                        // local lane.
+                        self.credits.mark_lane(i, Direction::Local.index());
                         #[cfg(feature = "check-invariants")]
                         {
                             let cols = self.cfg.cols;
@@ -584,7 +596,10 @@ impl Network {
     }
 
     // ------------------------------------------------------------------
-    // Forced-move helpers (SPI for SEEC, SPIN, SWAP, DRAIN).
+    // Mechanism SPI (SEEC, SPIN, SWAP, DRAIN). State the credit snapshot
+    // reads — input-VC buffers, ejection VCs and their reservations — is
+    // mutated by mechanisms only through these methods: each one mutates,
+    // keeps the occupancy counters exact and marks the stale lanes together.
     // ------------------------------------------------------------------
 
     /// True when a packet could be installed into `(node, port, vc)`: the VC
@@ -637,6 +652,34 @@ impl Network {
         self.credit_touch(node.idx());
     }
 
+    /// Sets the reservation state of ejection VC `ej_vc` at `node`'s NIC
+    /// (SEEC's seeker protocol: `Held` → `For(packet)` → cleared by
+    /// consumption, or back to `Free` after an empty-handed seek).
+    pub fn set_ej_reserve(&mut self, node: NodeId, ej_vc: usize, to: EjReserve) {
+        self.nics[node.idx()].ejection[ej_vc].reserve = to;
+        self.credits.mark_lane(node.idx(), Direction::Local.index());
+    }
+
+    /// Delivers a Free-Flow flit straight into ejection VC `ej_vc` at
+    /// `node`'s NIC (the VC the flight reserved; the mark keeps the lane
+    /// right for an unreserved one too).
+    pub fn deliver_ff_flit(&mut self, node: NodeId, ej_vc: usize, flit: Flit) {
+        self.nics[node.idx()].receive(ej_vc, flit);
+        self.last_progress = self.cycle;
+        self.credits.mark_lane(node.idx(), Direction::Local.index());
+    }
+
+    /// Pops every flit currently buffered in the Free-Flow-captured VC
+    /// `(node, port, vc)` (wormhole FF streaming); the VC is released once
+    /// the tail has been taken and stays resident until then.
+    pub fn take_captured(&mut self, node: NodeId, port: PortId, vc: usize) -> Vec<Flit> {
+        let r = &mut self.routers[node.idx()];
+        let flits = r.inputs[port].vcs[vc].take_captured();
+        self.credits.occ_sub(node.idx(), port, flits.len() as u16);
+        mark_upstream_lane(&mut self.credits, r, port);
+        flits
+    }
+
     /// Flits currently buffered in routers plus flits in flight (watchdog /
     /// invariants; excludes NIC queues and ejection VCs).
     pub fn flits_in_network(&self) -> usize {
@@ -664,6 +707,20 @@ impl Network {
     /// Cycles since anything moved.
     pub fn quiescent_for(&self) -> u64 {
         self.cycle.saturating_sub(self.last_progress)
+    }
+}
+
+/// Marks the one credit lane that snapshots `router`'s input port
+/// `in_port` — the upstream router's lane toward it — after flits left that
+/// port's VCs. The local port's upstream is the NIC, which reads the VCs
+/// directly, and an unwired port has no upstream.
+fn mark_upstream_lane(credits: &mut CreditSoA, router: &Router, in_port: PortId) {
+    if in_port == Direction::Local.index() {
+        return;
+    }
+    if let Some(up) = router.outputs[in_port].neighbor {
+        let toward_us = Direction::from_index(in_port).opposite().index();
+        credits.mark_lane(up.idx(), toward_us);
     }
 }
 
@@ -910,26 +967,11 @@ impl Sim {
             });
         }
         self.mech.pre_cycle(net);
-        if self.mech.touches_credits() {
-            // The mechanism may have moved flits in or out of input VCs
-            // without the engine seeing it: re-derive the per-router
-            // occupancy counts before they gate router compute.
-            net.recount_buffered();
-        }
         net.refresh_downfree();
         net.compute_routers();
         net.compute_injection();
         net.consume(self.workload.as_mut());
         self.mech.post_cycle(net);
-        if self.mech.touches_credits() {
-            // The mechanism may have mutated buffers, claims or ejection
-            // reservations anywhere. One blanket invalidation here covers
-            // both this post_cycle and the next cycle's pre_cycle (no
-            // refresh happens in between); mechanisms that only observe, or
-            // only touch inbox timing, opt out via `touches_credits`.
-            net.credit_mark_all();
-            net.recount_buffered();
-        }
         if net.recovery.is_some() {
             // Runtime recovery observes the same end-of-cycle state the
             // watchdog would; on a healthy network it does nothing.
@@ -1031,9 +1073,8 @@ impl Sim {
         let target = self.skip_target(end);
         if target > self.net.cycle {
             // Fold the derived credit caches forward before jumping. On the
-            // skipped cycles a stepping run would refresh each dirty
-            // router's credit snapshot exactly once and then find nothing
-            // further to do (the network is inert by proof); one refresh
+            // skipped cycles a stepping run would refresh each stale credit
+            // lane exactly once and then find nothing further to do (the network is inert by proof); one refresh
             // here reproduces that fixpoint, so snapshots and state digests
             // taken right after the jump match the stepped run bit for bit.
             self.net.refresh_downfree();

@@ -28,10 +28,17 @@ pub enum EjReserve {
 #[derive(Clone, Debug, Default)]
 pub struct EjVc {
     pub buf: VecDeque<Flit>,
-    pub reserve: EjReserve,
+    /// Written only through [`Network::set_ej_reserve`](crate::Network::set_ej_reserve)
+    /// and consumption, which mark the credit lane that reads it.
+    pub(crate) reserve: EjReserve,
 }
 
 impl EjVc {
+    /// Reservation state (SEEC's seeker protocol).
+    pub fn reserve(&self) -> EjReserve {
+        self.reserve
+    }
+
     /// Free for normal (router-side) allocation: empty and unreserved.
     pub fn is_free(&self) -> bool {
         self.buf.is_empty() && self.reserve == EjReserve::Free
@@ -72,6 +79,9 @@ pub struct Nic {
     /// Claims on the router's local input VCs (this NIC is their upstream).
     /// `Some(p)` from allocation until `p`'s tail flit has been sent.
     pub local_claims: Vec<Option<PacketId>>,
+    /// Flits sent toward each local input VC that have not yet arrived
+    /// (wormhole flit-credit accounting, as `OutputPort::inflight`).
+    pub local_inflight: Vec<u8>,
     /// Ejection VCs, flattened `classes * ejection_vcs_per_class`.
     pub ejection: Vec<EjVc>,
     ej_per_class: usize,
@@ -87,6 +97,7 @@ impl Nic {
             inj_rr: 0,
             inj_active: None,
             local_claims: vec![None; cfg.vcs_per_port()],
+            local_inflight: vec![0; cfg.vcs_per_port()],
             ejection: vec![EjVc::default(); classes * ej_per_class],
             ej_per_class,
         }

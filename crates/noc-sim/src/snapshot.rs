@@ -5,9 +5,9 @@
 //! traces and rewind — replaying a reachable-deadlock witness from several
 //! branch points without rebuilding the [`Network`] each time. A
 //! [`NetSnapshot`] captures every dynamic field of the engine (buffers,
-//! in-flight inboxes, credits are recomputed, RNG, statistics) so that
-//! `restore` + identical inputs reproduce identical behaviour,
-//! bit-for-bit.
+//! in-flight inboxes, the credit core with its stale-lane masks, RNG,
+//! statistics) so that `restore` + identical inputs reproduce identical
+//! behaviour, bit-for-bit.
 //!
 //! **Scope boundary.** Snapshots cover the core engine only: the
 //! fault-injection layer, the runtime recovery layer and the flight
@@ -70,9 +70,9 @@ impl Network {
     }
 
     /// Rewinds the engine to `snap`. The snapshot must come from this very
-    /// network (same configuration); the derived caches (credit snapshots,
-    /// buffered-flit counts) are conservatively recomputed rather than
-    /// copied, which the next `step` folds back into the exact state.
+    /// network (same configuration). Every field is copied, the derived
+    /// caches included (credit lanes, their stale masks, buffered-flit
+    /// counts), so the restored state is the snapshotted one exactly.
     pub fn restore(&mut self, snap: &NetSnapshot) {
         assert_eq!(
             self.routers.len(),
@@ -89,10 +89,6 @@ impl Network {
         self.stats = snap.stats.clone();
         self.rng = snap.rng.clone();
         self.last_progress = snap.last_progress;
-        // Derived caches: mark every credit snapshot stale and recount the
-        // buffered-flit totals from the restored buffers.
-        self.credit_mark_all();
-        self.recount_buffered();
     }
 
     /// Stable 64-bit digest of the observable engine state (everything a
@@ -176,6 +172,33 @@ mod tests {
             })
             .collect();
         assert_eq!(first, second, "replay diverged after restore");
+    }
+
+    #[test]
+    fn restore_keeps_clean_lanes_clean() {
+        // The stale-lane masks are state (the digest hashes them): a
+        // snapshot taken while only part of the credit snapshot is stale
+        // must come back with exactly those lanes stale, not all of them.
+        let masks = |sim: &Sim| -> Vec<u8> {
+            (0..sim.net.routers.len())
+                .map(|r| sim.net.credits.dirty_lanes(r))
+                .collect()
+        };
+        let mut sim = busy_sim();
+        let mut at_snap = masks(&sim);
+        while !(at_snap.contains(&0) && at_snap.iter().any(|&m| m != 0)) {
+            assert!(sim.net.cycle < 200, "never partially clean");
+            sim.step();
+            at_snap = masks(&sim);
+        }
+        let snap = sim.net.snapshot();
+        let base = sim.net.state_digest();
+        for _ in 0..7 {
+            sim.step();
+        }
+        sim.net.restore(&snap);
+        assert_eq!(masks(&sim), at_snap, "restore re-dirtied clean lanes");
+        assert_eq!(sim.net.state_digest(), base, "restore must be lossless");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Struct-of-arrays engine core: the per-cycle hot state — credit
 //! snapshots, wormhole flit-credit slots, per-port occupancy counters and
-//! per-router dirty bits — stored as flat, contiguous arrays indexed by
-//! `(router, port, vc)` instead of per-router structs of `Vec`s.
+//! per-router dirty-lane masks — stored as flat, contiguous arrays indexed
+//! by `(router, port, vc)` instead of per-router structs of `Vec`s.
 //!
 //! The free-VC snapshot of one `(router, port)` pair is a single `u32`
 //! bitmask (bit `v` set ⇔ downstream VC `v` is free), so the allocation
@@ -15,6 +15,9 @@
 use crate::nic::Nic;
 use crate::router::Router;
 use noc_types::{Direction, NetConfig, PortId, NUM_PORTS};
+
+/// Dirty mask with every lane of a router set.
+pub(crate) const ALL_LANES: u8 = (1 << NUM_PORTS) - 1;
 
 /// Flat `SoA` storage for the engine's per-cycle hot state. Lives on
 /// [`crate::Network`]; routers see it through [`CreditView`].
@@ -32,8 +35,9 @@ pub struct CreditSoA {
     /// Buffered flits per `(router, input port)`, indexed `r * NUM_PORTS + p`.
     /// Gates the empty-router/empty-port skips in router compute.
     occupancy: Vec<u16>,
-    /// Per-router credit-snapshot dirty bits.
-    dirty: Vec<bool>,
+    /// Per-router mask of stale snapshot lanes: bit `p` set ⇔ lane
+    /// `(r, p)` must be recomputed before the next switch allocation.
+    dirty: Vec<u8>,
     /// Per-VNet mask of *normal* (non-escape) VC bits.
     normal_mask: Vec<u32>,
     /// Per-VNet mask of the escape VC bit (0 when the routing has none).
@@ -69,7 +73,7 @@ impl CreditSoA {
             free: vec![0; n * NUM_PORTS],
             slots: vec![cfg.vc_depth; n * NUM_PORTS * stride],
             occupancy: vec![0; n * NUM_PORTS],
-            dirty: vec![true; n],
+            dirty: vec![ALL_LANES; n],
             normal_mask,
             escape_mask,
             escape_idx,
@@ -152,47 +156,49 @@ impl CreditSoA {
         self.occupancy[l] -= d;
     }
 
-    /// Recounts every router's per-port occupancy from the buffers
-    /// themselves (mechanisms may move flits outside the tracked sites).
-    pub fn recount_occupancy(&mut self, routers: &[Router]) {
-        for (i, r) in routers.iter().enumerate() {
-            for (p, port) in r.inputs.iter().enumerate() {
-                self.occupancy[i * NUM_PORTS + p] =
-                    port.vcs.iter().map(|vc| vc.buf.len() as u16).sum();
-            }
-        }
-    }
+    // --- dirty lanes ---------------------------------------------------
 
-    // --- dirty bits ----------------------------------------------------
-
-    pub fn is_dirty(&self, r: usize) -> bool {
+    /// Router `r`'s stale-lane mask.
+    pub fn dirty_lanes(&self, r: usize) -> u8 {
         self.dirty[r]
     }
 
-    pub fn mark_dirty(&mut self, r: usize) {
-        self.dirty[r] = true;
+    /// Marks lane `(r, p)` stale: something its snapshot reads changed.
+    #[inline]
+    pub fn mark_lane(&mut self, r: usize, p: PortId) {
+        self.dirty[r] |= 1 << p;
     }
 
-    pub fn clear_dirty(&mut self, r: usize) {
-        self.dirty[r] = false;
+    /// Marks all five lanes of router `r` stale (the coarse form, for
+    /// sites that are not per-flit).
+    pub fn mark_dirty(&mut self, r: usize) {
+        self.dirty[r] = ALL_LANES;
     }
 
     pub fn mark_all_dirty(&mut self) {
-        for f in &mut self.dirty {
-            *f = true;
-        }
+        self.dirty.fill(ALL_LANES);
+    }
+
+    /// Returns router `r`'s stale-lane mask and clears it.
+    pub(crate) fn take_dirty(&mut self, r: usize) -> u8 {
+        std::mem::take(&mut self.dirty[r])
     }
 
     // --- snapshot refresh ---------------------------------------------
 
-    /// Recomputes router `i`'s downstream-availability snapshot from
-    /// scratch (shared by the per-cycle refresh and the invariant layer's
-    /// cross-check).
+    /// Recomputes the lanes in `lanes` of router `i`'s
+    /// downstream-availability snapshot from scratch (shared by the
+    /// per-cycle refresh and the invariant layer's cross-check). A cardinal
+    /// lane reads the neighbour's input VCs plus this router's claims and
+    /// in-flight counts on that port; the local lane reads the NIC's
+    /// ejection VCs plus the local claims.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn recompute_router(
         &mut self,
         routers: &[Router],
         nics: &[Nic],
         i: usize,
+        lanes: u8,
         wormhole: bool,
         depth: u8,
         dead: Option<&crate::fault::DeadSet>,
@@ -200,6 +206,9 @@ impl CreditSoA {
         let r = &routers[i];
         for dir in Direction::CARDINAL {
             let p = dir.index();
+            if lanes & (1 << p) == 0 {
+                continue;
+            }
             let l = self.lane(i, p);
             match r.outputs[p].neighbor {
                 Some(nb) => {
@@ -229,15 +238,16 @@ impl CreditSoA {
             }
         }
         let lp = Direction::Local.index();
-        let nic = &nics[i];
-        let mut mask = 0u32;
-        for (v, ej) in nic.ejection.iter().enumerate() {
-            if ej.is_free() && r.outputs[lp].vc_claimed[v].is_none() {
-                mask |= 1 << v;
+        if lanes & (1 << lp) != 0 {
+            let mut mask = 0u32;
+            for (v, ej) in nics[i].ejection.iter().enumerate() {
+                if ej.is_free() && r.outputs[lp].vc_claimed[v].is_none() {
+                    mask |= 1 << v;
+                }
             }
+            let l = self.lane(i, lp);
+            self.free[l] = mask;
         }
-        let l = self.lane(i, lp);
-        self.free[l] = mask;
     }
 
     /// Copies router `i`'s snapshot lanes out (invariant cross-check).

@@ -143,7 +143,9 @@ impl VirtualChannel {
     /// Pops every currently-buffered flit of a captured VC (wormhole FF
     /// streaming). Releases the VC once the tail has been taken; until then
     /// the VC stays resident so trailing flits keep arriving into it.
-    pub fn take_captured(&mut self) -> Vec<Flit> {
+    /// Mechanisms call it through `Network::take_captured`, which keeps the
+    /// occupancy counters and credit lanes in step.
+    pub(crate) fn take_captured(&mut self) -> Vec<Flit> {
         debug_assert!(self.ff_capture);
         let mut out = Vec::with_capacity(self.buf.len());
         let mut saw_tail = false;

@@ -125,9 +125,7 @@ impl FfFlight {
         // Flit s arrives at the NIC at depart + s + nlinks.
         while self.delivered < len && now == self.depart + self.delivered as Cycle + nlinks as Cycle
         {
-            let flit = self.flits[self.delivered];
-            net.nics[self.dest.idx()].receive(self.ej_vc, flit);
-            net.last_progress = now;
+            net.deliver_ff_flit(self.dest, self.ej_vc, self.flits[self.delivered]);
             self.delivered += 1;
         }
         self.delivered == len
@@ -416,12 +414,11 @@ impl FfStream {
         let Some((node, port, vc)) = self.src else {
             return;
         };
-        let vcell = &mut net.routers[node.idx()].inputs[port].vcs[vc];
-        if vcell.buf.is_empty() {
+        if net.routers[node.idx()].inputs[port].vcs[vc].buf.is_empty() {
             return;
         }
-        let flits = vcell.take_captured();
-        if !vcell.ff_capture {
+        let flits = net.take_captured(node, port, vc);
+        if !net.routers[node.idx()].inputs[port].vcs[vc].ff_capture {
             // The tail passed: the VC has been released.
             self.src = None;
         }
@@ -469,8 +466,7 @@ impl FfStream {
             if now != depart + nlinks as Cycle {
                 break;
             }
-            net.nics[self.dest.idx()].receive(self.ej_vc, flit);
-            net.last_progress = now;
+            net.deliver_ff_flit(self.dest, self.ej_vc, flit);
             self.delivered += 1;
         }
         self.delivered == self.total as usize
@@ -496,14 +492,21 @@ mod stream_tests {
         (p, flits)
     }
 
+    /// Buffers `flit` the way an arrival does: into the VC and the
+    /// occupancy counter together.
+    fn arrive(net: &mut Network, (node, port, vc): (NodeId, PortId, usize), flit: Flit) {
+        net.routers[node.idx()].inputs[port].vcs[vc].push(flit);
+        net.credits.occ_add(node.idx(), port, 1);
+    }
+
     #[test]
     fn stream_launches_flits_as_they_arrive() {
         let mut net = Network::new(NetConfig::synth(4, 2).with_wormhole(2));
         let (_, flits) = packet(5, NodeId(0), NodeId(3));
         let (node, port, vc) = (NodeId(1), 2, 0);
         // Two flits buffered now; three trickle in later.
-        net.routers[node.idx()].inputs[port].vcs[vc].push(flits[0]);
-        net.routers[node.idx()].inputs[port].vcs[vc].push(flits[1]);
+        arrive(&mut net, (node, port, vc), flits[0]);
+        arrive(&mut net, (node, port, vc), flits[1]);
 
         let mut stream = FfStream::begin(&mut net, node, port, vc, NodeId(3), 0, 100, false);
         assert_eq!(stream.launched.len(), 2);
@@ -513,11 +516,11 @@ mod stream_tests {
         let mut done = false;
         for now in 101..140 {
             if now == 105 {
-                net.routers[node.idx()].inputs[port].vcs[vc].push(flits[2]);
-                net.routers[node.idx()].inputs[port].vcs[vc].push(flits[3]);
+                arrive(&mut net, (node, port, vc), flits[2]);
+                arrive(&mut net, (node, port, vc), flits[3]);
             }
             if now == 110 {
-                net.routers[node.idx()].inputs[port].vcs[vc].push(flits[4]);
+                arrive(&mut net, (node, port, vc), flits[4]);
             }
             done = stream.advance(&mut net, now);
             if done {
@@ -540,7 +543,7 @@ mod stream_tests {
         let (_, flits) = packet(3, NodeId(0), NodeId(12));
         let (node, port, vc) = (NodeId(5), 0, 1);
         for f in &flits {
-            net.routers[node.idx()].inputs[port].vcs[vc].push(*f);
+            arrive(&mut net, (node, port, vc), *f);
         }
         let stream = FfStream::begin(&mut net, node, port, vc, NodeId(12), 1, 50, true);
         let departs: Vec<Cycle> = stream.launched.iter().map(|(d, _)| *d).collect();

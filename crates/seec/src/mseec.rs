@@ -134,7 +134,7 @@ impl MSeecMechanism {
                 let claims =
                     &net.routers[nic].outputs[noc_types::Direction::Local.index()].vc_claimed;
                 if let Some(i) = net.nics[nic].free_ejection_vc(MessageClass(class), claims) {
-                    net.nics[nic].ejection[i].reserve = EjReserve::Held;
+                    net.set_ej_reserve(NodeId(nic as u16), i, EjReserve::Held);
                     self.pending_reserve[slot] = false;
                 }
             }
@@ -161,6 +161,9 @@ fn search_router_for(
     let r = node.idx();
     let wormhole = net.cfg.buffer_org == noc_types::BufferOrg::Wormhole;
     for port in 0..NUM_PORTS {
+        if net.credits.occ(r, port) == 0 {
+            continue; // nothing buffered behind this port
+        }
         for vc in 0..net.routers[r].inputs[port].vcs.len() {
             let v = &net.routers[r].inputs[port].vcs[vc];
             if v.ff_capture || v.route.is_some() {
@@ -232,9 +235,9 @@ impl Mechanism for MSeecMechanism {
                     // Reserve an ejection VC (or adopt a Held one).
                     let per = net.cfg.ejection_vcs_per_class as usize;
                     let base = class.idx() * per;
-                    let nic = &mut net.nics[origin.idx()];
+                    let nic = &net.nics[origin.idx()];
                     let held =
-                        (base..base + per).find(|&i| nic.ejection[i].reserve == EjReserve::Held);
+                        (base..base + per).find(|&i| nic.ejection[i].reserve() == EjReserve::Held);
                     let ej_vc = match held {
                         Some(i) => Some(i),
                         None => {
@@ -243,7 +246,7 @@ impl Mechanism for MSeecMechanism {
                             .vc_claimed;
                             let free = nic.free_ejection_vc(class, claims);
                             if let Some(i) = free {
-                                nic.ejection[i].reserve = EjReserve::Held;
+                                net.set_ej_reserve(origin, i, EjReserve::Held);
                             }
                             free
                         }
@@ -297,8 +300,7 @@ impl Mechanism for MSeecMechanism {
                     };
                     match found {
                         Some(MFound::Batch(flits)) => {
-                            net.nics[s.origin.idx()].ejection[s.ej_vc].reserve =
-                                EjReserve::For(flits[0].packet);
+                            net.set_ej_reserve(s.origin, s.ej_vc, EjReserve::For(flits[0].packet));
                             let flight = FfFlight::plan(
                                 net,
                                 flits,
@@ -315,8 +317,7 @@ impl Mechanism for MSeecMechanism {
                                 .front()
                                 .expect("streamed VC holds the matched packet")
                                 .packet;
-                            net.nics[s.origin.idx()].ejection[s.ej_vc].reserve =
-                                EjReserve::For(pkt);
+                            net.set_ej_reserve(s.origin, s.ej_vc, EjReserve::For(pkt));
                             let stream =
                                 FfStream::begin(net, cur, port, vc, s.origin, s.ej_vc, now, true);
                             EngState::Streaming(stream)
@@ -324,9 +325,11 @@ impl Mechanism for MSeecMechanism {
                         None => {
                             if s.walk.is_empty() {
                                 // Walk exhausted: release and next class.
-                                let vc = &mut net.nics[s.origin.idx()].ejection[s.ej_vc];
-                                debug_assert_eq!(vc.reserve, EjReserve::Held);
-                                vc.reserve = EjReserve::Free;
+                                debug_assert_eq!(
+                                    net.nics[s.origin.idx()].ejection[s.ej_vc].reserve(),
+                                    EjReserve::Held
+                                );
+                                net.set_ej_reserve(s.origin, s.ej_vc, EjReserve::Free);
                                 self.empty_seeks += 1;
                                 self.engines[e].class_cursor += 1;
                                 if self.engines[e].class_cursor == classes {

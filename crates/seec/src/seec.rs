@@ -131,8 +131,8 @@ impl SeecMechanism {
         // An earlier missed turn may have pre-reserved a VC (Held).
         let per = net.cfg.ejection_vcs_per_class as usize;
         let base = class.idx() * per;
-        let nic = &mut net.nics[self.token.nic];
-        let held = (base..base + per).find(|&i| nic.ejection[i].reserve == EjReserve::Held);
+        let nic = &net.nics[self.token.nic];
+        let held = (base..base + per).find(|&i| nic.ejection[i].reserve() == EjReserve::Held);
         let ej_vc = match held {
             Some(i) => Some(i),
             None => {
@@ -141,7 +141,7 @@ impl SeecMechanism {
                 .vc_claimed;
                 let free = nic.free_ejection_vc(class, claims);
                 if let Some(i) = free {
-                    nic.ejection[i].reserve = EjReserve::Held;
+                    net.set_ej_reserve(nic_id, i, EjReserve::Held);
                 }
                 free
             }
@@ -181,7 +181,7 @@ impl SeecMechanism {
                 let claims =
                     &net.routers[nic].outputs[noc_types::Direction::Local.index()].vc_claimed;
                 if let Some(i) = net.nics[nic].free_ejection_vc(MessageClass(class), claims) {
-                    net.nics[nic].ejection[i].reserve = EjReserve::Held;
+                    net.set_ej_reserve(NodeId(nic as u16), i, EjReserve::Held);
                     self.pending_reserve[slot] = false;
                 }
             }
@@ -201,6 +201,9 @@ impl SeecMechanism {
         }
         let wormhole = net.cfg.buffer_org == noc_types::BufferOrg::Wormhole;
         for port in 0..NUM_PORTS {
+            if net.credits.occ(r, port) == 0 {
+                continue; // nothing buffered behind this port
+            }
             for vc in 0..net.routers[r].inputs[port].vcs.len() {
                 let v = &net.routers[r].inputs[port].vcs[vc];
                 if v.ff_capture || v.route.is_some() {
@@ -242,9 +245,11 @@ impl SeecMechanism {
 
     /// Releases the seeker's reservation after an empty-handed return.
     fn release_reservation(net: &mut Network, s: &Seeker) {
-        let vc = &mut net.nics[s.origin.idx()].ejection[s.ej_vc];
-        debug_assert_eq!(vc.reserve, EjReserve::Held);
-        vc.reserve = EjReserve::Free;
+        debug_assert_eq!(
+            net.nics[s.origin.idx()].ejection[s.ej_vc].reserve(),
+            EjReserve::Held
+        );
+        net.set_ej_reserve(s.origin, s.ej_vc, EjReserve::Free);
     }
 
     /// Column-first flights are the mSEEC discipline; base SEEC flies XY.
@@ -316,8 +321,7 @@ impl Mechanism for SeecMechanism {
                         Found::Batch(flits, found_at) => {
                             self.search_start[slot] =
                                 (self.ring.position_of(found_at) + 1) % self.ring.len();
-                            net.nics[s.origin.idx()].ejection[s.ej_vc].reserve =
-                                EjReserve::For(flits[0].packet);
+                            net.set_ej_reserve(s.origin, s.ej_vc, EjReserve::For(flits[0].packet));
                             let flight = FfFlight::plan(
                                 net,
                                 flits,
@@ -336,8 +340,7 @@ impl Mechanism for SeecMechanism {
                                 .front()
                                 .expect("streamed VC holds the matched packet")
                                 .packet;
-                            net.nics[s.origin.idx()].ejection[s.ej_vc].reserve =
-                                EjReserve::For(pkt);
+                            net.set_ej_reserve(s.origin, s.ej_vc, EjReserve::For(pkt));
                             let stream = FfStream::begin(
                                 net,
                                 node,
