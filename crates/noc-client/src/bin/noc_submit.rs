@@ -15,10 +15,11 @@
 //! Every call retries with capped exponential backoff
 //! (`base_ms << (n-1)`, 64× cap); resubmission is always safe because the
 //! server dedupes by content address — a retry after a torn response
-//! lands on the existing job. The network-fault knobs
-//! `NOC_NET_FAULT_SCHEDULE` / `NOC_NET_FAULT_SEED` are validated eagerly
-//! (exit status 2 on garbage) and, when set, fault this client's own
-//! transport — the replay path for soak divergences.
+//! lands on the existing job. The environment knobs are validated eagerly
+//! (exit status 2 on garbage, the same gate as every other binary); the
+//! network-fault knobs `NOC_NET_FAULT_SCHEDULE` / `NOC_NET_FAULT_SEED`,
+//! when set, fault this client's own transport — the replay path for soak
+//! divergences.
 //!
 //! Exit status: 0 success, 1 the call failed (or `--wait` ended in a
 //! non-DONE terminal stage), 2 bad flags or environment.
@@ -38,12 +39,9 @@ fn usage() -> ! {
 }
 
 fn main() {
-    // Eager validation: garbage fault knobs are a configuration error
-    // before any socket opens.
-    if let Err(e) = noc_net::validate_env() {
-        eprintln!("error: {e}");
-        exit(2);
-    }
+    // Eager validation: a garbage environment knob is a configuration
+    // error before any socket opens.
+    noc_experiments::cli::validate_env();
 
     let mut addr = None;
     let mut opts = ClientOpts::default();

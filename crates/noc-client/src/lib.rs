@@ -207,13 +207,12 @@ impl Client {
     }
 
     /// The sleep before the retry following failed attempt `n` (1-based):
-    /// `base << (n-1)` capped at 64× base, stretched toward the server's
-    /// `Retry-After` when one was sent (the cap still wins).
+    /// [`noc_store::backoff`], stretched toward the server's `Retry-After`
+    /// when one was sent (the backoff's own cap still wins).
     fn backoff_ms(&self, failed_attempt: u32, last: &str) -> u64 {
         let base = self.opts.retry_base_ms.max(1);
-        let cap = base << 6;
-        let shift = failed_attempt.saturating_sub(1).min(6);
-        let mut wait = base << shift;
+        let cap = noc_store::backoff(base, u32::MAX);
+        let mut wait = noc_store::backoff(base, failed_attempt);
         if let Some(ra) = last
             .rsplit_once("|ra=")
             .and_then(|(_, v)| v.parse::<u64>().ok())
@@ -473,5 +472,18 @@ mod tests {
         // Retry-After stretches the wait but never past the cap.
         assert_eq!(client.backoff_ms(1, "x|ra=300"), 300);
         assert_eq!(client.backoff_ms(1, "x|ra=5000"), 640);
+        // A huge base saturates; it never wraps to a zero sleep.
+        let base = 1 << 58;
+        let huge = Client::with_transport(
+            "127.0.0.1:1",
+            ClientOpts {
+                retry_base_ms: base,
+                ..ClientOpts::default()
+            },
+            Transport::passthrough(),
+        );
+        for n in 1..12 {
+            assert!(huge.backoff_ms(n, "") >= base, "attempt {n}");
+        }
     }
 }

@@ -10,7 +10,8 @@
 //! injected, and the oracle requires the client to **converge**: the job
 //! reaches DONE and the CRC-verified rows the client fetches are
 //! byte-identical to the fault-free reference. Divergences emit the exact
-//! `NOC_NET_FAULT_SCHEDULE` that replays them.
+//! `NOC_NET_FAULT_SCHEDULE` that replays them. The sweep itself — loop,
+//! time box, repro and verdict files — is `noc_experiments::site_sweep`'s.
 //!
 //! Faults are injected on exactly one side per case so each side's op
 //! sequence stays meaningful; the other side runs passthrough. Sticky
@@ -22,13 +23,13 @@ use std::net::TcpListener;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use noc_experiments::jsonio::JsonObj;
+use noc_experiments::site_sweep::{self, reset_dir, Case, SiteSweep, SiteSweepReport};
 use noc_net::{FaultNet, NetFaultKind, NetFaultPlan, Transport};
 use noc_serve::{http, HttpOpts, ServeOpts, Service};
 
-use crate::{Client, ClientOpts};
+use crate::{Client, ClientError, ClientOpts};
 
 /// The job every run submits: two sweep points so the row set has more
 /// than one line for a tear to land inside, small enough that a full
@@ -41,68 +42,18 @@ const SOAK_SPEC: &str =
 /// prove stickiness, few enough that convergence stays fast.
 const HEAL_AFTER_OPS: u64 = 12;
 
-/// One (side × connection-op × fault kind) combination that failed to
-/// converge, with everything needed to replay it.
-#[derive(Clone, Debug)]
-pub struct Divergence {
-    /// Which endpoint carried the fault plan (`client` or `server`).
-    pub side: String,
-    /// 0-based connection-op index the fault hit.
-    pub site: u64,
-    /// Canonical `NOC_NET_FAULT_SCHEDULE` that reproduces the run.
-    pub schedule: String,
-    /// What went wrong, human-readable.
-    pub detail: String,
-}
-
-/// Summary of one [`run_network_chaos`] invocation.
-#[derive(Clone, Debug, Default)]
-pub struct NetworkChaosReport {
-    /// Connection ops the reference client performs.
-    pub client_sites: u64,
-    /// Connection ops the reference server performs.
-    pub server_sites: u64,
-    /// (side × site × kind) combinations executed.
-    pub combos: usize,
-    /// Dedupe hits observed across all cases — each one is a client retry
-    /// the content address absorbed idempotently.
-    pub dedupe_hits: u64,
-    /// Combinations where the client failed to converge byte-identically.
-    pub divergences: Vec<Divergence>,
-}
-
-impl NetworkChaosReport {
-    /// True when every combination converged.
-    pub fn all_match(&self) -> bool {
-        self.divergences.is_empty()
-    }
-}
-
 /// The fault kinds swept at every connection op. `partition` pairs a heal
 /// [`HEAL_AFTER_OPS`] later; everything else is a single-op event.
-fn kinds_under_test(site: u64) -> Vec<(String, NetFaultPlan)> {
+fn kinds_under_test(site: u64) -> Vec<(&'static str, NetFaultPlan)> {
+    let at = |kind| NetFaultPlan::default().with_event(site, kind);
     vec![
+        ("reset", at(NetFaultKind::Reset)),
+        ("torn", at(NetFaultKind::Torn(6))),
+        ("slow", at(NetFaultKind::Slow(3))),
+        ("acceptfail", at(NetFaultKind::AcceptFail)),
         (
-            "reset".into(),
-            NetFaultPlan::default().with_event(site, NetFaultKind::Reset),
-        ),
-        (
-            "torn".into(),
-            NetFaultPlan::default().with_event(site, NetFaultKind::Torn(6)),
-        ),
-        (
-            "slow".into(),
-            NetFaultPlan::default().with_event(site, NetFaultKind::Slow(3)),
-        ),
-        (
-            "acceptfail".into(),
-            NetFaultPlan::default().with_event(site, NetFaultKind::AcceptFail),
-        ),
-        (
-            "partition".into(),
-            NetFaultPlan::default()
-                .with_event(site, NetFaultKind::Partition)
-                .with_event(site + HEAL_AFTER_OPS, NetFaultKind::Heal),
+            "partition",
+            at(NetFaultKind::Partition).with_event(site + HEAL_AFTER_OPS, NetFaultKind::Heal),
         ),
     ]
 }
@@ -165,6 +116,22 @@ struct Outcome {
     dedupe_hits: u64,
 }
 
+/// Retries `op` until it succeeds or `deadline` passes — convergence
+/// despite faults is exactly what is under test.
+fn until<T>(
+    deadline: Instant,
+    what: &str,
+    mut op: impl FnMut() -> Result<T, ClientError>,
+) -> Result<T, String> {
+    loop {
+        match op() {
+            Ok(v) => return Ok(v),
+            Err(e) if Instant::now() >= deadline => return Err(format!("{what}: {e}")),
+            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+        }
+    }
+}
+
 /// One full client→server interaction: submit (looping on the idempotent
 /// resubmission path until admitted), await DONE, fetch verified rows,
 /// read the final health row. Every step keeps retrying inside `budget` —
@@ -186,36 +153,17 @@ fn run_interaction(
         },
         client_transport,
     );
-    let deadline = std::time::Instant::now() + budget;
+    let deadline = Instant::now() + budget;
     let outcome = (|| {
-        // Submit until admitted. A retry after a fault may land as a 200
-        // dedupe instead of a 202 — both mean the job is in.
-        let id = loop {
-            match client.submit(SOAK_SPEC) {
-                Ok((view, _created)) => break view.id,
-                Err(e) => {
-                    if std::time::Instant::now() >= deadline {
-                        return Err(format!("submission never admitted: {e}"));
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-            }
-        };
-        // Converge to a terminal stage.
-        let view = loop {
-            let left = deadline.saturating_duration_since(std::time::Instant::now());
-            if left.is_zero() {
-                return Err("job did not reach a terminal stage in budget".to_string());
-            }
-            match client.await_terminal(&id, left, Duration::from_millis(20)) {
-                Ok(view) => break view,
-                Err(e) => {
-                    if std::time::Instant::now() >= deadline {
-                        return Err(format!("status never converged: {e}"));
-                    }
-                }
-            }
-        };
+        // A retry after a fault may land as a 200 dedupe instead of a 202
+        // — both mean the job is in.
+        let (job, _created) = until(deadline, "submission never admitted", || {
+            client.submit(SOAK_SPEC)
+        })?;
+        let view = until(deadline, "status never converged", || {
+            let left = deadline.saturating_duration_since(Instant::now());
+            client.await_terminal(&job.id, left, Duration::from_millis(20))
+        })?;
         if view.stage != "done" {
             return Err(format!(
                 "job converged to '{}' instead of done ({:?})",
@@ -223,36 +171,16 @@ fn run_interaction(
                 view.row.get("error")
             ));
         }
-        // Verified rows; a tear inside a row line fails CRC and retries.
-        let rows = loop {
-            match client.rows_verified(&id) {
-                Ok(rows) => break rows,
-                Err(e) => {
-                    if std::time::Instant::now() >= deadline {
-                        return Err(format!("rows never verified: {e}"));
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-            }
-        };
-        let dedupe_hits = loop {
-            match client.healthz() {
-                Ok(h) => {
-                    break h
-                        .get("dedupe_hits")
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(0)
-                }
-                Err(e) => {
-                    if std::time::Instant::now() >= deadline {
-                        return Err(format!("healthz never answered: {e}"));
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-            }
-        };
-        let mut rows = rows;
+        // A tear inside a row line fails CRC and retries.
+        let mut rows = until(deadline, "rows never verified", || {
+            client.rows_verified(&job.id)
+        })?;
         rows.sort();
+        let health = until(deadline, "healthz never answered", || client.healthz())?;
+        let dedupe_hits = health
+            .get("dedupe_hits")
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(0);
         Ok(Outcome { rows, dedupe_hits })
     })();
     server.stop();
@@ -262,12 +190,14 @@ fn run_interaction(
 /// Runs the full soak under `out_dir` (per-case dirs are wiped on pass).
 /// `max_sites` caps how many connection ops are swept per side (CI time
 /// box; `None` sweeps all). Divergence repros land in
-/// `out_dir/repro_<side>_site<N>_<kind>.json`, the machine-readable
-/// report in `out_dir/network_chaos.json`.
+/// `out_dir/repro_<side>_site<N>_<kind>.json`, the verdict in
+/// `out_dir/network_chaos.json`; the report's sites are (client, server)
+/// and its tally counts dedupe hits — each one a client retry the content
+/// address absorbed idempotently.
 pub fn run_network_chaos(
     out_dir: &Path,
     max_sites: Option<u64>,
-) -> std::io::Result<NetworkChaosReport> {
+) -> std::io::Result<SiteSweepReport> {
     std::fs::create_dir_all(out_dir)?;
     let budget = Duration::from_secs(60);
 
@@ -309,98 +239,36 @@ pub fn run_network_chaos(
     assert!(client_sites > 0, "probe counted no client connection ops");
     assert!(server_sites > 0, "probe counted no server connection ops");
 
-    let mut report = NetworkChaosReport {
-        client_sites,
-        server_sites,
-        ..NetworkChaosReport::default()
+    let sweep = SiteSweep {
+        name: "network_chaos",
+        groups: &[("client", client_sites), ("server", server_sites)],
+        tally: "dedupe_hits",
     };
-    for (side, sites) in [("client", client_sites), ("server", server_sites)] {
-        let swept = max_sites.map_or(sites, |cap| sites.min(cap));
-        if swept < sites {
-            eprintln!("network-chaos: time box caps {side} sweep at {swept} of {sites} ops");
+    let run_case = |side: &str, plan: NetFaultPlan, case_dir: &Path| {
+        let faulted = Transport::faulted(FaultNet::new(plan));
+        let (ct, st) = if side == "client" {
+            (faulted, Transport::passthrough())
+        } else {
+            (Transport::passthrough(), faulted)
+        };
+        match run_interaction(&case_dir.join("data"), ct, st, budget) {
+            Ok(o) => Case {
+                tally: o.dedupe_hits,
+                problem: (o.rows != reference.rows).then(|| {
+                    format!(
+                        "row set diverged: {} row(s) vs {} reference",
+                        o.rows.len(),
+                        reference.rows.len()
+                    )
+                }),
+            },
+            Err(e) => Case {
+                tally: 0,
+                problem: Some(e),
+            },
         }
-        for site in 0..swept {
-            for (kind, plan) in kinds_under_test(site) {
-                report.combos += 1;
-                let case_dir = out_dir.join(format!("case_{side}_site{site}_{kind}"));
-                reset_dir(&case_dir)?;
-                let schedule = plan.canonical();
-                let faulted = Transport::faulted(FaultNet::new(plan));
-                let (ct, st) = if side == "client" {
-                    (faulted, Transport::passthrough())
-                } else {
-                    (Transport::passthrough(), faulted)
-                };
-                let outcome = run_interaction(&case_dir.join("data"), ct, st, budget);
-                let problem = match outcome {
-                    Ok(o) => {
-                        report.dedupe_hits += o.dedupe_hits;
-                        if o.rows == reference.rows {
-                            None
-                        } else {
-                            Some(format!(
-                                "row set diverged: {} row(s) vs {} reference",
-                                o.rows.len(),
-                                reference.rows.len()
-                            ))
-                        }
-                    }
-                    Err(e) => Some(e),
-                };
-                match problem {
-                    None => {
-                        let _ = std::fs::remove_dir_all(&case_dir); // keep the tree small
-                    }
-                    Some(detail) => {
-                        let repro = JsonObj::new()
-                            .str_field("side", side)
-                            .u64_field("site", site)
-                            .str_field("kind", &kind)
-                            .str_field("schedule", &schedule)
-                            .str_field("env", "NOC_NET_FAULT_SCHEDULE")
-                            .str_field("detail", &detail)
-                            .str_field("dir", &case_dir.display().to_string())
-                            .finish();
-                        noc_store::active().write_atomic(
-                            &out_dir.join(format!("repro_{side}_site{site}_{kind}.json")),
-                            format!("{repro}\n").as_bytes(),
-                        )?;
-                        report.divergences.push(Divergence {
-                            side: side.to_string(),
-                            site,
-                            schedule,
-                            detail,
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    let rep = JsonObj::new()
-        .u64_field("client_sites", report.client_sites)
-        .u64_field("server_sites", report.server_sites)
-        .u64_field("combos", report.combos as u64)
-        .u64_field("dedupe_hits", report.dedupe_hits)
-        .u64_field("divergences", report.divergences.len() as u64)
-        .str_field("verdict", if report.all_match() { "pass" } else { "fail" })
-        .finish();
-    noc_store::active().write_atomic(
-        &out_dir.join("network_chaos.json"),
-        format!("{rep}\n").as_bytes(),
-    )?;
-    Ok(report)
-}
-
-fn reset_dir(dir: &Path) -> std::io::Result<()> {
-    let _ = std::fs::remove_dir_all(dir);
-    std::fs::create_dir_all(dir)
-}
-
-/// Parses the published report back (the smoke script asserts on it).
-#[must_use]
-pub fn parse_report(text: &str) -> Option<std::collections::BTreeMap<String, String>> {
-    noc_experiments::jsonio::parse_flat(text.trim())
+    };
+    site_sweep::run(&sweep, out_dir, max_sites, kinds_under_test, run_case)
 }
 
 #[cfg(test)]
@@ -422,11 +290,12 @@ mod tests {
     fn first_sites_converge_under_every_fault() {
         let dir = tmpdir("soak");
         let report = run_network_chaos(&dir, Some(1)).unwrap();
-        assert!(report.client_sites > 0 && report.server_sites > 0);
+        assert!(report.sites.iter().all(|&n| n > 0), "{:?}", report.sites);
+        assert_eq!(report.sites.len(), 2);
         assert_eq!(report.combos, 10);
         assert!(report.all_match(), "divergences: {:?}", report.divergences);
         let rep = std::fs::read_to_string(dir.join("network_chaos.json")).unwrap();
-        let rep = parse_report(&rep).unwrap();
+        let rep = site_sweep::parse_report(&rep).unwrap();
         assert_eq!(rep["verdict"], "pass");
         let _ = std::fs::remove_dir_all(&dir);
     }

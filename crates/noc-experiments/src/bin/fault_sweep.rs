@@ -4,83 +4,10 @@
 //! fault_sweep [--quick] [--ckpt <path>] [--max-points <N>] [--threads <N>]
 //! ```
 //!
-//! Completed datapoints append to the checkpoint (default
-//! `results/fault_sweep[_quick].ckpt.jsonl`); re-running with the same
-//! checkpoint executes only the missing points. `--max-points` caps how
-//! many missing points this invocation runs — CI uses it to simulate an
-//! interrupted sweep, then resumes and diffs against an uninterrupted run.
-use noc_experiments::figs::fault_sweep;
-use noc_experiments::sweep::Checkpoint;
-use std::path::PathBuf;
+//! Flags, checkpointing and output are `cli::sweep_main`'s (default
+//! checkpoint `results/fault_sweep[_quick].ckpt.jsonl`).
+use noc_experiments::{cli, figs::fault_sweep};
 
 fn main() {
-    let rest = noc_experiments::cli::args();
-    let mut quick = false;
-    let mut ckpt_path: Option<PathBuf> = None;
-    let mut max_points: Option<usize> = None;
-    let mut it = rest.into_iter();
-    while let Some(a) = it.next() {
-        let mut value = |name: &str, inline: Option<String>| {
-            inline.or_else(|| it.next()).unwrap_or_else(|| {
-                eprintln!("{name} requires a value");
-                std::process::exit(2);
-            })
-        };
-        if a == "--quick" {
-            quick = true;
-        } else if a == "--ckpt" || a.starts_with("--ckpt=") {
-            let v = value("--ckpt", a.strip_prefix("--ckpt=").map(str::to_string));
-            ckpt_path = Some(PathBuf::from(v));
-        } else if a == "--max-points" || a.starts_with("--max-points=") {
-            let v = value(
-                "--max-points",
-                a.strip_prefix("--max-points=").map(str::to_string),
-            );
-            match v.parse::<usize>() {
-                Ok(n) => max_points = Some(n),
-                Err(_) => {
-                    eprintln!("--max-points expects a non-negative integer, got {v:?}");
-                    std::process::exit(2);
-                }
-            }
-        } else {
-            eprintln!("unknown argument {a:?}");
-            eprintln!(
-                "usage: fault_sweep [--quick] [--ckpt <path>] [--max-points <N>] [--threads <N>]"
-            );
-            std::process::exit(2);
-        }
-    }
-    let path = ckpt_path.unwrap_or_else(|| {
-        PathBuf::from(if quick {
-            "results/fault_sweep_quick.ckpt.jsonl"
-        } else {
-            "results/fault_sweep.ckpt.jsonl"
-        })
-    });
-    let ckpt = match Checkpoint::open(&path) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("cannot open checkpoint {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    };
-    let (tables, outcome) = fault_sweep::run(quick, &ckpt, max_points);
-    for t in &tables {
-        println!("{t}");
-        if let Ok(csv) = t.save_csv("results/csv") {
-            println!("wrote {csv}");
-        }
-    }
-    println!(
-        "sweep: {} executed, {} resumed from checkpoint, {} deferred, {} failed ({})",
-        outcome.executed,
-        outcome.resumed,
-        outcome.deferred,
-        outcome.failed,
-        ckpt.path().display()
-    );
-    if outcome.deferred > 0 {
-        println!("re-run without --max-points to execute the remaining points");
-    }
+    cli::sweep_main("fault_sweep", fault_sweep::run);
 }

@@ -7,80 +7,11 @@
 //! Series one arms the drain + end-to-end recovery channel on a healthy
 //! mesh (it must cost nothing); series two forces a deadlock on the ADAPT
 //! baseline and shows the drain channel completing a run the static
-//! certifier refuses to let run unprotected. Completed datapoints append to
-//! the checkpoint (default `results/recovery_sweep[_quick].ckpt.jsonl`).
-use noc_experiments::figs::recovery_sweep;
-use noc_experiments::sweep::Checkpoint;
-use std::path::PathBuf;
+//! certifier refuses to let run unprotected. Flags, checkpointing and
+//! output are `cli::sweep_main`'s (default checkpoint
+//! `results/recovery_sweep[_quick].ckpt.jsonl`).
+use noc_experiments::{cli, figs::recovery_sweep};
 
 fn main() {
-    let rest = noc_experiments::cli::args();
-    let mut quick = false;
-    let mut ckpt_path: Option<PathBuf> = None;
-    let mut max_points: Option<usize> = None;
-    let mut it = rest.into_iter();
-    while let Some(a) = it.next() {
-        let mut value = |name: &str, inline: Option<String>| {
-            inline.or_else(|| it.next()).unwrap_or_else(|| {
-                eprintln!("{name} requires a value");
-                std::process::exit(2);
-            })
-        };
-        if a == "--quick" {
-            quick = true;
-        } else if a == "--ckpt" || a.starts_with("--ckpt=") {
-            let v = value("--ckpt", a.strip_prefix("--ckpt=").map(str::to_string));
-            ckpt_path = Some(PathBuf::from(v));
-        } else if a == "--max-points" || a.starts_with("--max-points=") {
-            let v = value(
-                "--max-points",
-                a.strip_prefix("--max-points=").map(str::to_string),
-            );
-            match v.parse::<usize>() {
-                Ok(n) => max_points = Some(n),
-                Err(_) => {
-                    eprintln!("--max-points expects a non-negative integer, got {v:?}");
-                    std::process::exit(2);
-                }
-            }
-        } else {
-            eprintln!("unknown argument {a:?}");
-            eprintln!(
-                "usage: recovery_sweep [--quick] [--ckpt <path>] [--max-points <N>] [--threads <N>]"
-            );
-            std::process::exit(2);
-        }
-    }
-    let path = ckpt_path.unwrap_or_else(|| {
-        PathBuf::from(if quick {
-            "results/recovery_sweep_quick.ckpt.jsonl"
-        } else {
-            "results/recovery_sweep.ckpt.jsonl"
-        })
-    });
-    let ckpt = match Checkpoint::open(&path) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("cannot open checkpoint {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    };
-    let (tables, outcome) = recovery_sweep::run(quick, &ckpt, max_points);
-    for t in &tables {
-        println!("{t}");
-        if let Ok(csv) = t.save_csv("results/csv") {
-            println!("wrote {csv}");
-        }
-    }
-    println!(
-        "sweep: {} executed, {} resumed from checkpoint, {} deferred, {} failed ({})",
-        outcome.executed,
-        outcome.resumed,
-        outcome.deferred,
-        outcome.failed,
-        ckpt.path().display()
-    );
-    if outcome.deferred > 0 {
-        println!("re-run without --max-points to execute the remaining points");
-    }
+    cli::sweep_main("recovery_sweep", recovery_sweep::run);
 }

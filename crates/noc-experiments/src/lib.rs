@@ -3,8 +3,7 @@
 //! Each `figs::figNN` module regenerates one artifact of the evaluation
 //! section and returns a [`table::FigTable`] with the same rows/series the
 //! paper plots; the `bin/` binaries print them (`cargo run --release -p
-//! noc-experiments --bin fig08`), and the `bench` crate wraps reduced
-//! versions under Criterion.
+//! noc-experiments --bin fig08`).
 //!
 //! Absolute numbers come from this repo's from-scratch simulator, not the
 //! authors' gem5 testbed; EXPERIMENTS.md records the shape comparison
@@ -18,6 +17,7 @@ pub mod job;
 pub mod jsonio;
 pub mod runner;
 pub mod saturation;
+pub mod site_sweep;
 pub mod storage_chaos;
 pub mod sweep;
 pub mod table;
@@ -47,6 +47,6 @@ pub use chaos::{
 pub use job::{JobCtx, JobError, JobProgress, JobReport, SimJob};
 pub use runner::{run_app, run_synth, AppSpec, Scheme, SynthSpec};
 pub use saturation::find_saturation;
-pub use storage_chaos::{run_storage_chaos, StorageChaosReport};
+pub use storage_chaos::run_storage_chaos;
 pub use sweep::{run_sweep, Checkpoint, FaultPoint, SweepOutcome};
 pub use table::FigTable;

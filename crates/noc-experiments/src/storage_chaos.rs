@@ -16,14 +16,15 @@
 //! [`noc_store::Vfs::write_atomic`] — one representative of each write
 //! class. Runs are single-threaded so op indices are deterministic and a
 //! divergence repro (`<out>/repro_*.json`) pinpoints the exact
-//! `NOC_VFS_FAULT_SCHEDULE` that reproduces it.
+//! `NOC_VFS_FAULT_SCHEDULE` that reproduces it. The sweep itself — loop,
+//! time box, repro and verdict files — is [`crate::site_sweep`]'s.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::jsonio::JsonObj;
 use crate::runner::Scheme;
+use crate::site_sweep::{self, reset_dir, Case, SiteSweep, SiteSweepReport};
 use crate::sweep::{run_sweep_ctx, Checkpoint, FaultPoint};
 use noc_store::{FaultKind, FaultPlan, FaultVfs, LineCheck, StdVfs, Vfs};
 use noc_types::fault::fnv1a;
@@ -91,78 +92,35 @@ fn digest_of(lines: &[String]) -> u64 {
     fnv1a(lines.join("\n").as_bytes())
 }
 
-/// One (write site × fault kind) combination that diverged from the
-/// reference, with everything needed to replay it.
-#[derive(Clone, Debug)]
-pub struct Divergence {
-    /// 0-based write-op index the fault hit.
-    pub site: u64,
-    /// Canonical fault schedule that reproduces the run.
-    pub schedule: String,
-    /// What went wrong, human-readable.
-    pub detail: String,
-}
-
-/// Summary of one [`run_storage_chaos`] invocation.
-#[derive(Clone, Debug, Default)]
-pub struct StorageChaosReport {
-    /// Write operations the reference workload performs.
-    pub sites: u64,
-    /// (site × kind) combinations executed.
-    pub combos: usize,
-    /// Bad lines detected + quarantined across all recoveries (evidence
-    /// the detection path actually fired, not that nothing ever tore).
-    pub quarantined: usize,
-    /// Combinations whose recovered row set diverged from the reference.
-    pub divergences: Vec<Divergence>,
-}
-
-impl StorageChaosReport {
-    /// True when every combination recovered byte-identically.
-    pub fn all_match(&self) -> bool {
-        self.divergences.is_empty()
-    }
-}
-
 /// The fault kinds swept at every site: the acceptance matrix's
 /// {ENOSPC, EIO, torn write, crash-after-partial-write} plus a failed
 /// publishing rename. "Crash" is a torn write followed by a stuck disk —
 /// nothing after the tear lands, exactly like a dead process.
-fn kinds_under_test(site: u64) -> Vec<(String, FaultPlan)> {
+fn kinds_under_test(site: u64) -> Vec<(&'static str, FaultPlan)> {
+    let at = |kind| FaultPlan::default().with_event(site, kind);
     vec![
+        ("enospc", at(FaultKind::Enospc)),
+        ("eio", at(FaultKind::Eio)),
+        ("torn", at(FaultKind::Torn(7))),
+        ("rename", at(FaultKind::RenameFail)),
         (
-            "enospc".into(),
-            FaultPlan::default().with_event(site, FaultKind::Enospc),
-        ),
-        (
-            "eio".into(),
-            FaultPlan::default().with_event(site, FaultKind::Eio),
-        ),
-        (
-            "torn".into(),
-            FaultPlan::default().with_event(site, FaultKind::Torn(7)),
-        ),
-        (
-            "rename".into(),
-            FaultPlan::default().with_event(site, FaultKind::RenameFail),
-        ),
-        (
-            "crash".into(),
-            FaultPlan::default()
-                .with_event(site, FaultKind::Torn(7))
-                .with_event(site + 1, FaultKind::Stuck),
+            "crash",
+            at(FaultKind::Torn(7)).with_event(site + 1, FaultKind::Stuck),
         ),
     ]
 }
 
-/// Runs the full soak under `out_dir` (wiped per combination). `max_sites`
-/// caps how many write sites are swept (CI time box; `None` sweeps all).
-/// Returns the report; divergence repros are written to
-/// `out_dir/repro_site<N>_<kind>.json`.
+/// Runs the full soak under `out_dir` (case directories are wiped on
+/// pass). `max_sites` caps how many write sites are swept (CI time box;
+/// `None` sweeps all). Divergence repros land in
+/// `out_dir/repro_site<N>_<kind>.json`, the verdict in
+/// `out_dir/storage_chaos.json`; the report's tally counts bad lines
+/// detected + quarantined across all recoveries (evidence the detection
+/// path actually fired, not that nothing ever tore).
 pub fn run_storage_chaos(
     out_dir: &Path,
     max_sites: Option<u64>,
-) -> std::io::Result<StorageChaosReport> {
+) -> std::io::Result<SiteSweepReport> {
     std::fs::create_dir_all(out_dir)?;
     let std_vfs: Arc<dyn Vfs> = Arc::new(StdVfs);
 
@@ -185,101 +143,60 @@ pub fn run_storage_chaos(
     let sites = probe.ops();
     assert!(sites > 0, "probe run performed no write operations");
 
-    let swept = max_sites.map_or(sites, |cap| sites.min(cap));
-    if swept < sites {
-        eprintln!("storage-chaos: time box caps sweep at {swept} of {sites} write sites");
-    }
-    let mut report = StorageChaosReport {
-        sites,
-        ..StorageChaosReport::default()
+    let sweep = SiteSweep {
+        name: "storage_chaos",
+        groups: &[("", sites)],
+        tally: "quarantined",
     };
-    for site in 0..swept {
-        for (kind, plan) in kinds_under_test(site) {
-            report.combos += 1;
-            let case_dir = out_dir.join(format!("site{site}_{kind}"));
-            reset_dir(&case_dir)?;
-            let schedule = plan.canonical();
+    let run_case = |_side: &str, plan: FaultPlan, case_dir: &Path| {
+        // Faulted attempt: the fault fires mid-workload.
+        let faulted: Arc<dyn Vfs> = Arc::new(FaultVfs::new(plan));
+        run_workload(&faulted, case_dir);
 
-            // Faulted attempt: the fault fires mid-workload.
-            let faulted: Arc<dyn Vfs> = Arc::new(FaultVfs::new(plan));
-            run_workload(&faulted, &case_dir);
+        // Restart on healthy storage: open repairs + quarantines, the
+        // missing points re-execute, the summary republishes.
+        run_workload(&std_vfs, case_dir);
 
-            // Restart on healthy storage: open repairs + quarantines, the
-            // missing points re-execute, the summary republishes.
-            run_workload(&std_vfs, &case_dir);
+        // Oracle 1: recovered rows byte-identical to the reference.
+        let journal = case_dir.join("storage.ckpt.jsonl");
+        let (rows, bad) = journal_lines(&std_vfs, &journal);
+        // Oracle 2: zero undetected corruptions — after recovery the
+        // journal holds no bad lines (they were compacted away), and
+        // whatever was dropped sits in the quarantine file.
+        let quarantined = std_vfs
+            .read_to_string(&quarantine_file(&journal))
+            .map(|t| t.lines().filter(|l| !l.is_empty()).count())
+            .unwrap_or(0);
+        // Oracle 3: the whole-file artifact is the reference bytes —
+        // never a torn or stale hybrid.
+        let summary = std_vfs
+            .read_to_string(&case_dir.join("summary.json"))
+            .unwrap_or_default();
 
-            // Oracle 1: recovered rows byte-identical to the reference.
-            let journal = case_dir.join("storage.ckpt.jsonl");
-            let (rows, bad) = journal_lines(&std_vfs, &journal);
-            // Oracle 2: zero undetected corruptions — after recovery the
-            // journal holds no bad lines (they were compacted away), and
-            // whatever was dropped sits in the quarantine file.
-            let quarantined = std_vfs
-                .read_to_string(&quarantine_file(&journal))
-                .map(|t| t.lines().filter(|l| !l.is_empty()).count())
-                .unwrap_or(0);
-            report.quarantined += quarantined;
-            // Oracle 3: the whole-file artifact is the reference bytes —
-            // never a torn or stale hybrid.
-            let summary = std_vfs
-                .read_to_string(&case_dir.join("summary.json"))
-                .unwrap_or_default();
-
-            let mut problems = Vec::new();
-            if rows != reference {
-                problems.push(format!(
-                    "row set diverged: {} rows vs {} reference (digest {:016x} vs {:016x})",
-                    rows.len(),
-                    reference.len(),
-                    digest_of(&rows),
-                    digest_of(&reference),
-                ));
-            }
-            if bad != 0 {
-                problems.push(format!(
-                    "{bad} bad line(s) survived recovery in the journal"
-                ));
-            }
-            if summary != ref_summary {
-                problems.push("summary.json differs from the reference artifact".to_string());
-            }
-            if problems.is_empty() {
-                let _ = std::fs::remove_dir_all(&case_dir); // keep the tree small
-            } else {
-                let detail = problems.join("; ");
-                let repro = JsonObj::new()
-                    .u64_field("site", site)
-                    .str_field("kind", &kind)
-                    .str_field("schedule", &schedule)
-                    .str_field("detail", &detail)
-                    .str_field("dir", &case_dir.display().to_string())
-                    .finish();
-                std_vfs.write_atomic(
-                    &out_dir.join(format!("repro_site{site}_{kind}.json")),
-                    format!("{repro}\n").as_bytes(),
-                )?;
-                report.divergences.push(Divergence {
-                    site,
-                    schedule,
-                    detail,
-                });
-            }
+        let mut problems = Vec::new();
+        if rows != reference {
+            problems.push(format!(
+                "row set diverged: {} rows vs {} reference (digest {:016x} vs {:016x})",
+                rows.len(),
+                reference.len(),
+                digest_of(&rows),
+                digest_of(&reference),
+            ));
         }
-    }
-
-    // Publish the machine-readable report (atomically, of course).
-    let rep = JsonObj::new()
-        .u64_field("sites", report.sites)
-        .u64_field("combos", report.combos as u64)
-        .u64_field("quarantined", report.quarantined as u64)
-        .u64_field("divergences", report.divergences.len() as u64)
-        .str_field("verdict", if report.all_match() { "pass" } else { "fail" })
-        .finish();
-    std_vfs.write_atomic(
-        &out_dir.join("storage_chaos.json"),
-        format!("{rep}\n").as_bytes(),
-    )?;
-    Ok(report)
+        if bad != 0 {
+            problems.push(format!(
+                "{bad} bad line(s) survived recovery in the journal"
+            ));
+        }
+        if summary != ref_summary {
+            problems.push("summary.json differs from the reference artifact".to_string());
+        }
+        Case {
+            tally: quarantined as u64,
+            problem: (!problems.is_empty()).then(|| problems.join("; ")),
+        }
+    };
+    site_sweep::run(&sweep, out_dir, max_sites, kinds_under_test, run_case)
 }
 
 fn quarantine_file(journal: &Path) -> PathBuf {
@@ -288,16 +205,6 @@ fn quarantine_file(journal: &Path) -> PathBuf {
         .and_then(|n| n.to_str())
         .unwrap_or("journal");
     journal.with_file_name(format!("{name}.quarantine"))
-}
-
-fn reset_dir(dir: &Path) -> std::io::Result<()> {
-    let _ = std::fs::remove_dir_all(dir);
-    std::fs::create_dir_all(dir)
-}
-
-/// Parses the published report back (the smoke script asserts on it).
-pub fn parse_report(text: &str) -> Option<BTreeMap<String, String>> {
-    crate::jsonio::parse_flat(text.trim())
 }
 
 #[cfg(test)]
@@ -320,15 +227,15 @@ mod tests {
         let dir = tmpdir("soak");
         let report = run_storage_chaos(&dir, Some(2)).unwrap();
         assert!(
-            report.sites >= 4,
+            report.sites[0] >= 4,
             "expected ≥4 write sites, found {}",
-            report.sites
+            report.sites[0]
         );
         assert_eq!(report.combos, 10);
         assert!(report.all_match(), "divergences: {:?}", report.divergences);
         // The report artifact landed and parses.
         let rep = std::fs::read_to_string(dir.join("storage_chaos.json")).unwrap();
-        let rep = parse_report(&rep).unwrap();
+        let rep = site_sweep::parse_report(&rep).unwrap();
         assert_eq!(rep["verdict"], "pass");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,7 +1,7 @@
 //! The fault transport: `std::net` wrappers that replay a
 //! [`NetFaultPlan`] against every connection operation.
 //!
-//! [`FaultNet`] owns the mutable state of one endpoint's plan — the
+//! [`FaultNet`] is the mutable state of one endpoint's plan — the
 //! connection-op counter and the sticky partition flag. [`Transport`] is
 //! what server and client code hold: either a zero-overhead passthrough
 //! (no plan configured — one `Option` branch per op, no allocation, no
@@ -15,9 +15,11 @@
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
+
+use noc_store::Injector;
 
 use crate::plan::{NetFaultKind, NetFaultPlan};
 
@@ -50,58 +52,9 @@ fn dead_stream() -> io::Error {
 }
 
 /// Shared mutable state of one endpoint's fault plan: the connection-op
-/// counter and the sticky partition flag.
-#[derive(Debug)]
-pub struct FaultNet {
-    plan: NetFaultPlan,
-    ops: AtomicU64,
-    parted: AtomicBool,
-}
-
-impl FaultNet {
-    /// Wraps connection operations with `plan`.
-    #[must_use]
-    pub fn new(plan: NetFaultPlan) -> Arc<FaultNet> {
-        Arc::new(FaultNet {
-            plan,
-            ops: AtomicU64::new(0),
-            parted: AtomicBool::new(false),
-        })
-    }
-
-    /// Connection operations performed so far (the next op index). A probe
-    /// run reads this to enumerate the ops a workload performs.
-    pub fn ops(&self) -> u64 {
-        self.ops.load(Ordering::SeqCst)
-    }
-
-    /// The plan this instance replays.
-    pub fn plan(&self) -> &NetFaultPlan {
-        &self.plan
-    }
-
-    /// Claims the next op index and resolves what to inject there,
-    /// applying the sticky partition/heal transitions.
-    fn next_op(&self) -> (u64, Option<NetFaultKind>) {
-        let op = self.ops.fetch_add(1, Ordering::SeqCst);
-        let kind = self.plan.kind_at(op);
-        match kind {
-            Some(NetFaultKind::Partition) => {
-                self.parted.store(true, Ordering::SeqCst);
-                return (op, Some(NetFaultKind::Partition));
-            }
-            Some(NetFaultKind::Heal) => {
-                self.parted.store(false, Ordering::SeqCst);
-                return (op, None); // the healing op itself succeeds
-            }
-            _ => {}
-        }
-        if self.parted.load(Ordering::SeqCst) {
-            return (op, Some(NetFaultKind::Partition));
-        }
-        (op, kind)
-    }
-}
+/// counter and the sticky partition flag. `FaultNet::new(plan)` hands out
+/// the `Arc` every listener and stream of the endpoint shares.
+pub type FaultNet = Injector<NetFaultKind>;
 
 /// The transport endpoints hold: passthrough or faulted. Cloning shares
 /// the underlying [`FaultNet`] (and so the op counter).
@@ -123,11 +76,23 @@ impl Transport {
         Transport { net: Some(net) }
     }
 
-    /// The process-wide transport, chosen once from the `NOC_NET_FAULT_*`
-    /// environment knobs (see [`active`]).
+    /// The process-wide transport, chosen once from the environment:
+    /// faulted when `NOC_NET_FAULT_SCHEDULE` or `NOC_NET_FAULT_SEED` is set
+    /// (binaries validate both eagerly and exit 2 on garbage), passthrough
+    /// otherwise. Tests and soaks that need a specific plan construct
+    /// their own [`FaultNet`] and pass it explicitly instead.
     #[must_use]
     pub fn from_env() -> Transport {
-        active()
+        static ACTIVE: OnceLock<Transport> = OnceLock::new();
+        ACTIVE
+            .get_or_init(|| match NetFaultPlan::from_process_env() {
+                Ok(Some(plan)) => Transport::faulted(FaultNet::new(plan)),
+                Ok(None) => Transport::passthrough(),
+                // Binaries validate eagerly at startup; reaching this panic
+                // means a library consumer skipped that gate.
+                Err(e) => panic!("invalid network-fault configuration: {e}"),
+            })
+            .clone()
     }
 
     /// True when a fault plan is attached.
@@ -360,43 +325,6 @@ impl Write for FaultStream {
     fn flush(&mut self) -> io::Result<()> {
         self.inner.flush()
     }
-}
-
-static ACTIVE: OnceLock<Transport> = OnceLock::new();
-
-/// The process-wide [`Transport`], chosen once from the environment:
-/// faulted when `NOC_NET_FAULT_SCHEDULE` or `NOC_NET_FAULT_SEED` is set
-/// (binaries validate both eagerly and exit 2 on garbage), passthrough
-/// otherwise. Tests and soaks that need a specific plan construct their
-/// own [`FaultNet`] and pass it explicitly instead.
-#[must_use]
-pub fn active() -> Transport {
-    ACTIVE
-        .get_or_init(|| {
-            match NetFaultPlan::from_env(
-                std::env::var("NOC_NET_FAULT_SCHEDULE").ok().as_deref(),
-                std::env::var("NOC_NET_FAULT_SEED").ok().as_deref(),
-            ) {
-                Ok(Some(plan)) => Transport::faulted(FaultNet::new(plan)),
-                Ok(None) => Transport::passthrough(),
-                // Binaries validate eagerly at startup; reaching this panic
-                // means a library consumer skipped that gate.
-                Err(e) => panic!("invalid network-fault configuration: {e}"),
-            }
-        })
-        .clone()
-}
-
-/// Eagerly validates the `NOC_NET_FAULT_SCHEDULE` / `NOC_NET_FAULT_SEED`
-/// environment knobs, same contract as the VFS knobs: unset means "no
-/// fault injection", garbage is an error for the caller to turn into exit
-/// status 2 — never a silent fallback to fault-free networking.
-pub fn validate_env() -> Result<(), String> {
-    NetFaultPlan::from_env(
-        std::env::var("NOC_NET_FAULT_SCHEDULE").ok().as_deref(),
-        std::env::var("NOC_NET_FAULT_SEED").ok().as_deref(),
-    )
-    .map(|_| ())
 }
 
 #[cfg(test)]

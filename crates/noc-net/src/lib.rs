@@ -9,14 +9,15 @@
 //! Fault kinds: connection resets, torn reads/writes at byte offset *n*,
 //! slow trickle, admission failures, and a sticky partition with heal.
 //! Plans come from `NOC_NET_FAULT_SCHEDULE` (explicit `op:kind` events)
-//! and/or `NOC_NET_FAULT_SEED` (splitmix64 draws), explicit-event-wins,
-//! both validated eagerly by binaries (exit 2 on garbage) via
-//! [`validate_env`].
+//! and/or `NOC_NET_FAULT_SEED` (seeded draws), explicit-event-wins, both
+//! validated eagerly by binaries (exit 2 on garbage). The plan and the
+//! op-counting injector are `noc_store`'s generic `Plan` / `Injector`;
+//! this crate adds the network kind table and the `std::net` wrappers.
 
 #![forbid(unsafe_code)]
 
 mod fault;
 mod plan;
 
-pub use fault::{active, validate_env, FaultListener, FaultNet, FaultStream, Transport};
-pub use plan::{NetFaultEvent, NetFaultKind, NetFaultPlan};
+pub use fault::{FaultListener, FaultNet, FaultStream, Transport};
+pub use plan::{NetFaultKind, NetFaultPlan};

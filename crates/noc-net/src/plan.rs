@@ -1,22 +1,14 @@
-//! Scheduled network-fault plans.
+//! The network fault kinds.
 //!
-//! The network twin of `noc_store::FaultPlan`: every *connection
-//! operation* (one `connect`, one `accept` of a pending connection, one
-//! `read` call, one `write` call) consumes one op index from the plan's
-//! counter, and the plan decides what happens at that index. Two sources
-//! feed a plan, validated eagerly by binaries (exit 2):
-//!
-//! * `NOC_NET_FAULT_SCHEDULE="3:reset,7:torn@12,9:slow@5,2:partition,8:heal"`
-//!   — explicit op-indexed events;
-//! * `NOC_NET_FAULT_SEED=42` — seeded pseudo-random faults for soaks.
-//!
-//! When both are set, explicit events win at their op index and the seed
-//! fills the rest — the same precedence as the VFS knobs.
-//! [`NetFaultPlan::canonical`] renders the plan to the exact string that
-//! reproduces it and [`NetFaultPlan::digest`] fingerprints it for repro
-//! records.
+//! Every *connection operation* (one `connect`, one `accept` of a pending
+//! connection, one `read` call, one `write` call) consumes one op index,
+//! and a [`NetFaultPlan`] decides what happens at that index. The plan —
+//! schedule grammar, seed, precedence, the sticky `partition`/`heal`
+//! latch, `canonical`/`digest` — is `noc_store`'s generic [`Plan`]; this
+//! module holds only what is the network's own: the kind table and the
+//! knob names `NOC_NET_FAULT_SCHEDULE` / `NOC_NET_FAULT_SEED`.
 
-use std::collections::BTreeMap;
+use noc_store::plan::{no_arg, num_arg, Kind, Plan};
 
 /// What happens to one connection operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,38 +33,30 @@ pub enum NetFaultKind {
     Heal,
 }
 
-impl NetFaultKind {
-    fn parse(code: &str) -> Result<NetFaultKind, String> {
-        let (name, arg) = match code.split_once('@') {
-            Some((n, a)) => (n, Some(a)),
-            None => (code, None),
-        };
-        let need_no_arg = |kind: NetFaultKind| match arg {
-            None => Ok(kind),
-            Some(a) => Err(format!("fault kind '{name}' takes no '@{a}' argument")),
-        };
-        match name {
-            "reset" => need_no_arg(NetFaultKind::Reset),
-            "acceptfail" => need_no_arg(NetFaultKind::AcceptFail),
-            "partition" => need_no_arg(NetFaultKind::Partition),
-            "heal" => need_no_arg(NetFaultKind::Heal),
+impl Kind for NetFaultKind {
+    const SCHEDULE_ENV: &'static str = "NOC_NET_FAULT_SCHEDULE";
+    const SEED_ENV: &'static str = "NOC_NET_FAULT_SEED";
+    const STICKY: NetFaultKind = NetFaultKind::Partition;
+    const HEAL: NetFaultKind = NetFaultKind::Heal;
+
+    fn parse(name: &str, arg: Option<&str>) -> Result<NetFaultKind, String> {
+        let kind = match name {
             "torn" => {
-                let a = arg.ok_or("fault kind 'torn' needs '@<bytes>'")?;
-                let n: u32 = a
-                    .parse()
-                    .map_err(|_| format!("bad torn byte offset '{a}'"))?;
-                Ok(NetFaultKind::Torn(n))
+                return num_arg(name, arg, "bytes", "torn byte offset").map(NetFaultKind::Torn)
             }
-            "slow" => {
-                let a = arg.ok_or("fault kind 'slow' needs '@<millis>'")?;
-                let ms: u64 = a.parse().map_err(|_| format!("bad slow millis '{a}'"))?;
-                Ok(NetFaultKind::Slow(ms))
+            "slow" => return num_arg(name, arg, "millis", "slow millis").map(NetFaultKind::Slow),
+            "reset" => NetFaultKind::Reset,
+            "acceptfail" => NetFaultKind::AcceptFail,
+            "partition" => NetFaultKind::Partition,
+            "heal" => NetFaultKind::Heal,
+            other => {
+                return Err(format!(
+                    "unknown fault kind '{other}' \
+                     (expected reset|torn@N|slow@MS|acceptfail|partition|heal)"
+                ))
             }
-            other => Err(format!(
-                "unknown fault kind '{other}' \
-                 (expected reset|torn@N|slow@MS|acceptfail|partition|heal)"
-            )),
-        }
+        };
+        no_arg(name, arg, kind)
     }
 
     fn canonical(self) -> String {
@@ -85,212 +69,55 @@ impl NetFaultKind {
             NetFaultKind::Heal => "heal".to_string(),
         }
     }
-}
 
-/// One scheduled event: at connection op `op` (0-based), do `kind`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct NetFaultEvent {
-    /// 0-based index into the endpoint's connection-operation sequence.
-    pub op: u64,
-    /// What to inject there.
-    pub kind: NetFaultKind,
-}
-
-/// A validated, canonicalizable network-fault plan.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct NetFaultPlan {
-    events: BTreeMap<u64, NetFaultKind>,
-    seed: Option<u64>,
-}
-
-impl NetFaultPlan {
-    /// Parses an explicit `op:kind[,op:kind...]` schedule string.
-    pub fn parse_schedule(s: &str) -> Result<NetFaultPlan, String> {
-        if s.trim().is_empty() {
-            return Err("empty fault schedule".to_string());
-        }
-        let mut events = BTreeMap::new();
-        for part in s.split(',') {
-            let part = part.trim();
-            let (op_s, code) = part
-                .split_once(':')
-                .ok_or_else(|| format!("bad fault event '{part}' (expected op:kind)"))?;
-            let op: u64 = op_s
-                .trim()
-                .parse()
-                .map_err(|_| format!("bad op index '{op_s}' in '{part}'"))?;
-            let kind = NetFaultKind::parse(code.trim())?;
-            if events.insert(op, kind).is_some() {
-                return Err(format!("duplicate fault event for op {op}"));
-            }
-        }
-        Ok(NetFaultPlan { events, seed: None })
-    }
-
-    /// Builds a plan from the two environment knobs (either may be unset).
-    /// `Ok(None)` means no fault injection is configured. Errors are the
-    /// messages binaries print before exiting with status 2.
-    pub fn from_env(
-        schedule: Option<&str>,
-        seed: Option<&str>,
-    ) -> Result<Option<NetFaultPlan>, String> {
-        let mut plan = match schedule {
-            Some(s) => Some(
-                NetFaultPlan::parse_schedule(s)
-                    .map_err(|e| format!("NOC_NET_FAULT_SCHEDULE: {e}"))?,
-            ),
-            None => None,
-        };
-        if let Some(s) = seed {
-            let n: u64 = s
-                .trim()
-                .parse()
-                .map_err(|_| format!("NOC_NET_FAULT_SEED: '{s}' is not an unsigned integer"))?;
-            plan.get_or_insert_with(NetFaultPlan::default).seed = Some(n);
-        }
-        Ok(plan)
-    }
-
-    /// Adds one explicit event (test/soak construction path).
-    #[must_use]
-    pub fn with_event(mut self, op: u64, kind: NetFaultKind) -> NetFaultPlan {
-        self.events.insert(op, kind);
-        self
-    }
-
-    /// Seeded-random plan with no explicit events.
-    #[must_use]
-    pub fn seeded(seed: u64) -> NetFaultPlan {
-        NetFaultPlan {
-            events: BTreeMap::new(),
-            seed: Some(seed),
-        }
-    }
-
-    /// The exact string that reproduces this plan: the explicit events in
-    /// op order (the `NOC_NET_FAULT_SCHEDULE` syntax), then `seed=N` if a
-    /// seed participates.
-    pub fn canonical(&self) -> String {
-        let mut parts: Vec<String> = self
-            .events
-            .iter()
-            .map(|(op, kind)| format!("{op}:{}", kind.canonical()))
-            .collect();
-        if let Some(seed) = self.seed {
-            parts.push(format!("seed={seed}"));
-        }
-        parts.join(",")
-    }
-
-    /// FNV-1a fingerprint of [`NetFaultPlan::canonical`], for repro
-    /// records.
-    pub fn digest(&self) -> u64 {
-        noc_store::fnv1a(self.canonical().as_bytes())
-    }
-
-    /// What this plan injects at connection op `op`, if anything. Explicit
-    /// events win; otherwise the seed draws deterministically per op
-    /// (≈1-in-8 fault rate over {reset, torn, slow@1, acceptfail}).
-    pub fn kind_at(&self, op: u64) -> Option<NetFaultKind> {
-        if let Some(&k) = self.events.get(&op) {
-            return Some(k);
-        }
-        let seed = self.seed?;
-        let r = splitmix64(seed ^ op.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        if !r.is_multiple_of(8) {
-            return None;
-        }
-        Some(match (r >> 3) % 4 {
+    fn draw(pick: u64, arg: u64) -> NetFaultKind {
+        match pick {
             0 => NetFaultKind::Reset,
-            1 => NetFaultKind::Torn(u32::try_from((r >> 5) % 32).unwrap_or(0)),
+            1 => NetFaultKind::Torn((arg % 32) as u32),
             2 => NetFaultKind::Slow(1),
             _ => NetFaultKind::AcceptFail,
-        })
+        }
     }
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+/// A network fault plan: [`Plan`] over [`NetFaultKind`].
+pub type NetFaultPlan = Plan<NetFaultKind>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The network kind table: every name parses and prints back, `@arg`
+    /// is accepted exactly on `torn` and `slow`, and the errors name the
+    /// network alternatives and knobs.
     #[test]
-    fn schedule_parses_and_round_trips_canonically() {
-        let plan = NetFaultPlan::parse_schedule("7:torn@12, 3:reset ,9:slow@5,2:partition,8:heal")
-            .unwrap();
-        assert_eq!(
-            plan.canonical(),
-            "2:partition,3:reset,7:torn@12,8:heal,9:slow@5"
-        );
-        let again = NetFaultPlan::parse_schedule(&plan.canonical()).unwrap();
-        assert_eq!(again, plan);
-        assert_eq!(again.digest(), plan.digest());
-    }
-
-    #[test]
-    fn schedule_rejects_garbage() {
-        for bad in [
-            "",
-            "x:reset",
-            "3:whatever",
-            "3:torn",
-            "3:torn@many",
-            "3:slow",
-            "3:reset@5",
-            "3reset",
-            "3:reset,3:heal",
+    fn kind_table() {
+        for (name, takes_arg) in [
+            ("reset", false),
+            ("torn", true),
+            ("slow", true),
+            ("acceptfail", false),
+            ("partition", false),
+            ("heal", false),
         ] {
-            assert!(NetFaultPlan::parse_schedule(bad).is_err(), "{bad:?}");
+            let (bare, with_arg) = (format!("3:{name}"), format!("3:{name}@12"));
+            let (good, bad) = if takes_arg {
+                (with_arg, bare)
+            } else {
+                (bare, with_arg)
+            };
+            let plan = NetFaultPlan::parse_schedule(&good).unwrap();
+            assert_eq!(plan.canonical(), good);
+            assert!(NetFaultPlan::parse_schedule(&bad).is_err(), "{bad}");
         }
-    }
-
-    #[test]
-    fn from_env_combines_schedule_and_seed() {
-        assert_eq!(NetFaultPlan::from_env(None, None).unwrap(), None);
-        let p = NetFaultPlan::from_env(Some("0:reset"), Some("9"))
-            .unwrap()
-            .unwrap();
-        assert_eq!(p.canonical(), "0:reset,seed=9");
-        assert!(NetFaultPlan::from_env(Some("nope"), None).is_err());
-        assert!(NetFaultPlan::from_env(None, Some("-1")).is_err());
-        assert!(NetFaultPlan::from_env(None, Some("12x")).is_err());
-    }
-
-    #[test]
-    fn explicit_events_win_over_the_seed() {
-        let p = NetFaultPlan::seeded(42).with_event(0, NetFaultKind::Heal);
-        assert_eq!(p.kind_at(0), Some(NetFaultKind::Heal));
-        // Elsewhere the seed draws exactly as a pure seeded plan would.
-        let pure = NetFaultPlan::seeded(42);
-        for op in 1..256 {
-            assert_eq!(p.kind_at(op), pure.kind_at(op), "op {op}");
-        }
-    }
-
-    #[test]
-    fn seeded_draws_are_deterministic() {
-        let a = NetFaultPlan::seeded(42);
-        let b = NetFaultPlan::seeded(42);
-        let c = NetFaultPlan::seeded(43);
-        let draws_a: Vec<_> = (0..256).map(|op| a.kind_at(op)).collect();
-        let draws_b: Vec<_> = (0..256).map(|op| b.kind_at(op)).collect();
-        let draws_c: Vec<_> = (0..256).map(|op| c.kind_at(op)).collect();
-        assert_eq!(draws_a, draws_b);
-        assert_ne!(draws_a, draws_c);
-        assert!(
-            draws_a.iter().any(Option::is_some),
-            "seed 42 injects nothing in 256 ops"
+        assert_eq!(
+            NetFaultPlan::parse_schedule("3:whatever").unwrap_err(),
+            "unknown fault kind 'whatever' \
+             (expected reset|torn@N|slow@MS|acceptfail|partition|heal)"
         );
-        assert!(
-            draws_a.iter().any(Option::is_none),
-            "seed 42 faults every op"
-        );
+        let err = NetFaultPlan::from_env(Some("nope"), None).unwrap_err();
+        assert!(err.starts_with("NOC_NET_FAULT_SCHEDULE: "), "{err}");
+        let err = NetFaultPlan::from_env(None, Some("12x")).unwrap_err();
+        assert!(err.starts_with("NOC_NET_FAULT_SEED: "), "{err}");
     }
 }

@@ -39,28 +39,11 @@ fn usage() -> ! {
 }
 
 fn main() {
-    // Eager environment validation: a garbage NOC_THREADS or
-    // NOC_BATCH_WIDTH is a configuration error at boot, not a panic
-    // mid-job hours later.
-    if let Err(e) = rayon::env_threads() {
-        eprintln!("error: {e}");
-        exit(2);
-    }
-    let batch_width = match noc_experiments::sweep::env_batch_width() {
-        Ok(w) => w.unwrap_or(4),
-        Err(e) => {
-            eprintln!("error: {e}");
-            exit(2);
-        }
-    };
-    if let Err(e) = noc_experiments::cli::validate_vfs_env() {
-        eprintln!("error: {e}");
-        exit(2);
-    }
-    if let Err(e) = noc_net::validate_env() {
-        eprintln!("error: {e}");
-        exit(2);
-    }
+    // Eager environment validation: a garbage knob is a configuration
+    // error at boot, not a panic mid-job hours later.
+    let batch_width = noc_experiments::cli::validate_env()
+        .batch_width
+        .unwrap_or(4);
 
     let mut addr = "127.0.0.1:0".to_string();
     let mut data_dir = None;

@@ -861,9 +861,7 @@ fn run_one(shared: &Arc<Shared>, id: &str) {
 /// granularity), then requeues — unless a drain or a user cancel arrived
 /// while waiting.
 fn backoff_then_requeue(shared: &Arc<Shared>, id: &str, attempt: u32) {
-    let base = shared.opts.retry_base_ms;
-    let factor = 1u64 << (attempt.saturating_sub(1)).min(6); // capped 64x
-    let mut remaining = base.saturating_mul(factor);
+    let mut remaining = noc_store::backoff(shared.opts.retry_base_ms, attempt);
     while remaining > 0 {
         if shared.draining.load(Ordering::Relaxed) {
             return; // stays CHECKPOINTED; adopted on restart

@@ -245,3 +245,23 @@ fn http_surface_shed_dedupe_and_errors() {
     let _ = child.wait();
     let _ = std::fs::remove_dir_all(&data_dir);
 }
+
+/// The eager environment gate: a garbage fault knob — of either layer —
+/// is refused at boot with exit 2, before the data directory is touched.
+#[test]
+fn garbage_fault_knobs_exit_2_before_any_io() {
+    let data_dir = tmpdir("env_gate").join("never_created");
+    for (knob, value) in [
+        ("NOC_VFS_FAULT_SCHEDULE", "nonsense"),
+        ("NOC_VFS_FAULT_SEED", "-3"),
+        ("NOC_NET_FAULT_SCHEDULE", "nonsense"),
+        ("NOC_NET_FAULT_SEED", "-3"),
+    ] {
+        let run = Command::new(env!("CARGO_BIN_EXE_noc_serve"))
+            .args(["--data-dir", data_dir.to_str().unwrap()])
+            .env(knob, value)
+            .output();
+        assert_eq!(run.unwrap().status.code(), Some(2), "{knob}");
+    }
+    assert!(!data_dir.exists(), "a rejected boot must not create files");
+}

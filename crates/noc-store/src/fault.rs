@@ -8,23 +8,16 @@
 //! faulted — corruption detection on the read side is exercised by the
 //! artifacts the faulted writes leave behind.
 //!
-//! Two sources feed a plan, validated eagerly by binaries (exit 2):
-//!
-//! * `NOC_VFS_FAULT_SCHEDULE="3:enospc,7:torn@12,9:rename,2:stuck,8:heal"`
-//!   — explicit op-indexed events;
-//! * `NOC_VFS_FAULT_SEED=42` — seeded pseudo-random faults for soaks.
-//!
-//! When both are set, explicit events win at their op index and the seed
-//! fills the rest. [`FaultPlan::canonical`] renders the plan to the exact
-//! string that reproduces it and [`FaultPlan::digest`] fingerprints it for
-//! repro records.
+//! The schedule grammar, the seed, their precedence and the sticky
+//! `stuck`/`heal` latch are [`crate::plan`]'s; this module holds what is
+//! storage's own: the [`FaultKind`] table (knobs `NOC_VFS_FAULT_SCHEDULE`
+//! / `NOC_VFS_FAULT_SEED`) and what each kind does to a write.
 
-use std::collections::BTreeMap;
 use std::io::{self, Write as _};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::plan::{no_arg, num_arg, Injector, Kind, Plan};
 use crate::vfs::{atomic_write_steps, AppendLog, StdVfs, Vfs};
 
 /// What happens to one write operation.
@@ -48,38 +41,29 @@ pub enum FaultKind {
     Heal,
 }
 
-impl FaultKind {
-    fn parse(code: &str) -> Result<FaultKind, String> {
-        let (name, arg) = match code.split_once('@') {
-            Some((n, a)) => (n, Some(a)),
-            None => (code, None),
-        };
-        let need_no_arg = |kind: FaultKind| match arg {
-            None => Ok(kind),
-            Some(a) => Err(format!("fault kind '{name}' takes no '@{a}' argument")),
-        };
-        match name {
-            "enospc" => need_no_arg(FaultKind::Enospc),
-            "eio" => need_no_arg(FaultKind::Eio),
-            "rename" => need_no_arg(FaultKind::RenameFail),
-            "stuck" => need_no_arg(FaultKind::Stuck),
-            "heal" => need_no_arg(FaultKind::Heal),
-            "torn" => {
-                let a = arg.ok_or("fault kind 'torn' needs '@<bytes>'")?;
-                let n: u32 = a
-                    .parse()
-                    .map_err(|_| format!("bad torn byte offset '{a}'"))?;
-                Ok(FaultKind::Torn(n))
+impl Kind for FaultKind {
+    const SCHEDULE_ENV: &'static str = "NOC_VFS_FAULT_SCHEDULE";
+    const SEED_ENV: &'static str = "NOC_VFS_FAULT_SEED";
+    const STICKY: FaultKind = FaultKind::Stuck;
+    const HEAL: FaultKind = FaultKind::Heal;
+
+    fn parse(name: &str, arg: Option<&str>) -> Result<FaultKind, String> {
+        let kind = match name {
+            "torn" => return num_arg(name, arg, "bytes", "torn byte offset").map(FaultKind::Torn),
+            "slow" => return num_arg(name, arg, "millis", "slow millis").map(FaultKind::Slow),
+            "enospc" => FaultKind::Enospc,
+            "eio" => FaultKind::Eio,
+            "rename" => FaultKind::RenameFail,
+            "stuck" => FaultKind::Stuck,
+            "heal" => FaultKind::Heal,
+            other => {
+                return Err(format!(
+                    "unknown fault kind '{other}' \
+                     (expected enospc|eio|torn@N|slow@MS|rename|stuck|heal)"
+                ))
             }
-            "slow" => {
-                let a = arg.ok_or("fault kind 'slow' needs '@<millis>'")?;
-                let ms: u64 = a.parse().map_err(|_| format!("bad slow millis '{a}'"))?;
-                Ok(FaultKind::Slow(ms))
-            }
-            other => Err(format!(
-                "unknown fault kind '{other}' (expected enospc|eio|torn@N|slow@MS|rename|stuck|heal)"
-            )),
-        }
+        };
+        no_arg(name, arg, kind)
     }
 
     fn canonical(self) -> String {
@@ -93,135 +77,19 @@ impl FaultKind {
             FaultKind::Heal => "heal".to_string(),
         }
     }
-}
 
-/// One scheduled event: at write op `op` (0-based), do `kind`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FaultEvent {
-    /// 0-based index into the process's write-operation sequence.
-    pub op: u64,
-    /// What to inject there.
-    pub kind: FaultKind,
-}
-
-/// A validated, canonicalizable fault plan.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FaultPlan {
-    events: BTreeMap<u64, FaultKind>,
-    seed: Option<u64>,
-}
-
-impl FaultPlan {
-    /// Parses an explicit `op:kind[,op:kind...]` schedule string.
-    pub fn parse_schedule(s: &str) -> Result<FaultPlan, String> {
-        if s.trim().is_empty() {
-            return Err("empty fault schedule".to_string());
-        }
-        let mut events = BTreeMap::new();
-        for part in s.split(',') {
-            let part = part.trim();
-            let (op_s, code) = part
-                .split_once(':')
-                .ok_or_else(|| format!("bad fault event '{part}' (expected op:kind)"))?;
-            let op: u64 = op_s
-                .trim()
-                .parse()
-                .map_err(|_| format!("bad op index '{op_s}' in '{part}'"))?;
-            let kind = FaultKind::parse(code.trim())?;
-            if events.insert(op, kind).is_some() {
-                return Err(format!("duplicate fault event for op {op}"));
-            }
-        }
-        Ok(FaultPlan { events, seed: None })
-    }
-
-    /// Builds a plan from the two environment knobs (either may be unset).
-    /// `Ok(None)` means no fault injection is configured. Errors are the
-    /// messages binaries print before exiting with status 2.
-    pub fn from_env(
-        schedule: Option<&str>,
-        seed: Option<&str>,
-    ) -> Result<Option<FaultPlan>, String> {
-        let mut plan = match schedule {
-            Some(s) => Some(
-                FaultPlan::parse_schedule(s).map_err(|e| format!("NOC_VFS_FAULT_SCHEDULE: {e}"))?,
-            ),
-            None => None,
-        };
-        if let Some(s) = seed {
-            let n: u64 = s
-                .trim()
-                .parse()
-                .map_err(|_| format!("NOC_VFS_FAULT_SEED: '{s}' is not an unsigned integer"))?;
-            plan.get_or_insert_with(FaultPlan::default).seed = Some(n);
-        }
-        Ok(plan)
-    }
-
-    /// Adds one explicit event (test/soak construction path).
-    #[must_use]
-    pub fn with_event(mut self, op: u64, kind: FaultKind) -> FaultPlan {
-        self.events.insert(op, kind);
-        self
-    }
-
-    /// Seeded-random plan with no explicit events.
-    #[must_use]
-    pub fn seeded(seed: u64) -> FaultPlan {
-        FaultPlan {
-            events: BTreeMap::new(),
-            seed: Some(seed),
-        }
-    }
-
-    /// The exact string that reproduces this plan: the explicit events in
-    /// op order (the `NOC_VFS_FAULT_SCHEDULE` syntax), then `seed=N` if a
-    /// seed participates.
-    pub fn canonical(&self) -> String {
-        let mut parts: Vec<String> = self
-            .events
-            .iter()
-            .map(|(op, kind)| format!("{op}:{}", kind.canonical()))
-            .collect();
-        if let Some(seed) = self.seed {
-            parts.push(format!("seed={seed}"));
-        }
-        parts.join(",")
-    }
-
-    /// FNV-1a fingerprint of [`FaultPlan::canonical`], for repro records.
-    pub fn digest(&self) -> u64 {
-        crate::fnv1a(self.canonical().as_bytes())
-    }
-
-    /// What this plan injects at write op `op`, if anything. Explicit
-    /// events win; otherwise the seed draws deterministically per op
-    /// (≈1-in-8 fault rate over {enospc, eio, torn, slow@1}).
-    pub fn kind_at(&self, op: u64) -> Option<FaultKind> {
-        if let Some(&k) = self.events.get(&op) {
-            return Some(k);
-        }
-        let seed = self.seed?;
-        let r = splitmix64(seed ^ op.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        if !r.is_multiple_of(8) {
-            return None;
-        }
-        Some(match (r >> 3) % 4 {
+    fn draw(pick: u64, arg: u64) -> FaultKind {
+        match pick {
             0 => FaultKind::Enospc,
             1 => FaultKind::Eio,
-            2 => FaultKind::Torn(u32::try_from((r >> 5) % 64).unwrap_or(0)),
+            2 => FaultKind::Torn((arg % 64) as u32),
             _ => FaultKind::Slow(1),
-        })
+        }
     }
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+/// A storage fault plan: [`Plan`] over [`FaultKind`].
+pub type FaultPlan = Plan<FaultKind>;
 
 fn enospc(op: u64) -> io::Error {
     io::Error::new(
@@ -238,43 +106,10 @@ fn stuck_err(op: u64) -> io::Error {
     io::Error::other(format!("injected persistent write failure at op {op}"))
 }
 
-/// Shared mutable state of one [`FaultVfs`]: the write-op counter and the
-/// sticky broken-disk flag.
-#[derive(Debug)]
-struct FaultState {
-    plan: FaultPlan,
-    ops: AtomicU64,
-    stuck: AtomicBool,
-}
-
-impl FaultState {
-    /// Claims the next op index and resolves what to inject there,
-    /// applying the sticky stuck/heal transitions.
-    fn next_op(&self) -> (u64, Option<FaultKind>) {
-        let op = self.ops.fetch_add(1, Ordering::SeqCst);
-        let kind = self.plan.kind_at(op);
-        match kind {
-            Some(FaultKind::Stuck) => {
-                self.stuck.store(true, Ordering::SeqCst);
-                return (op, Some(FaultKind::Stuck));
-            }
-            Some(FaultKind::Heal) => {
-                self.stuck.store(false, Ordering::SeqCst);
-                return (op, None); // the healing op itself succeeds
-            }
-            _ => {}
-        }
-        if self.stuck.load(Ordering::SeqCst) {
-            return (op, Some(FaultKind::Stuck));
-        }
-        (op, kind)
-    }
-}
-
 /// A [`Vfs`] that injects the plan's faults into every write operation.
 #[derive(Clone, Debug)]
 pub struct FaultVfs {
-    state: Arc<FaultState>,
+    state: Arc<Injector<FaultKind>>,
 }
 
 impl FaultVfs {
@@ -282,29 +117,20 @@ impl FaultVfs {
     #[must_use]
     pub fn new(plan: FaultPlan) -> FaultVfs {
         FaultVfs {
-            state: Arc::new(FaultState {
-                plan,
-                ops: AtomicU64::new(0),
-                stuck: AtomicBool::new(false),
-            }),
+            state: Injector::new(plan),
         }
     }
 
     /// Write operations performed so far (the next op index). A probe run
     /// reads this to enumerate the write sites a workload touches.
     pub fn ops(&self) -> u64 {
-        self.state.ops.load(Ordering::SeqCst)
-    }
-
-    /// The plan this instance replays.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.state.plan
+        self.state.ops()
     }
 }
 
 struct FaultAppend {
     inner: Box<dyn AppendLog>,
-    state: Arc<FaultState>,
+    state: Arc<Injector<FaultKind>>,
 }
 
 impl AppendLog for FaultAppend {
@@ -395,65 +221,34 @@ mod tests {
         d
     }
 
+    /// The storage kind table: every name parses and prints back, `@arg`
+    /// is accepted exactly on `torn` and `slow`, and the error names the
+    /// storage alternatives.
     #[test]
-    fn schedule_parses_and_round_trips_canonically() {
-        let plan =
-            FaultPlan::parse_schedule("7:torn@12, 3:enospc ,9:rename,2:stuck,8:heal").unwrap();
-        assert_eq!(
-            plan.canonical(),
-            "2:stuck,3:enospc,7:torn@12,8:heal,9:rename"
-        );
-        let again = FaultPlan::parse_schedule(&plan.canonical()).unwrap();
-        assert_eq!(again, plan);
-        assert_eq!(again.digest(), plan.digest());
-    }
-
-    #[test]
-    fn schedule_rejects_garbage() {
-        for bad in [
-            "",
-            "x:enospc",
-            "3:whatever",
-            "3:torn",
-            "3:torn@many",
-            "3:slow",
-            "3:enospc@5",
-            "3enospc",
-            "3:enospc,3:eio",
+    fn kind_table() {
+        for (name, takes_arg) in [
+            ("enospc", false),
+            ("eio", false),
+            ("torn", true),
+            ("slow", true),
+            ("rename", false),
+            ("stuck", false),
+            ("heal", false),
         ] {
-            assert!(FaultPlan::parse_schedule(bad).is_err(), "{bad:?}");
+            let (bare, with_arg) = (format!("3:{name}"), format!("3:{name}@12"));
+            let (good, bad) = if takes_arg {
+                (with_arg, bare)
+            } else {
+                (bare, with_arg)
+            };
+            let plan = FaultPlan::parse_schedule(&good).unwrap();
+            assert_eq!(plan.canonical(), good);
+            assert!(FaultPlan::parse_schedule(&bad).is_err(), "{bad}");
         }
-    }
-
-    #[test]
-    fn from_env_combines_schedule_and_seed() {
-        assert_eq!(FaultPlan::from_env(None, None).unwrap(), None);
-        let p = FaultPlan::from_env(Some("0:eio"), Some("9"))
-            .unwrap()
-            .unwrap();
-        assert_eq!(p.canonical(), "0:eio,seed=9");
-        assert!(FaultPlan::from_env(Some("nope"), None).is_err());
-        assert!(FaultPlan::from_env(None, Some("-1")).is_err());
-        assert!(FaultPlan::from_env(None, Some("12x")).is_err());
-    }
-
-    #[test]
-    fn seeded_draws_are_deterministic() {
-        let a = FaultPlan::seeded(42);
-        let b = FaultPlan::seeded(42);
-        let c = FaultPlan::seeded(43);
-        let draws_a: Vec<_> = (0..256).map(|op| a.kind_at(op)).collect();
-        let draws_b: Vec<_> = (0..256).map(|op| b.kind_at(op)).collect();
-        let draws_c: Vec<_> = (0..256).map(|op| c.kind_at(op)).collect();
-        assert_eq!(draws_a, draws_b);
-        assert_ne!(draws_a, draws_c);
-        assert!(
-            draws_a.iter().any(Option::is_some),
-            "seed 42 injects nothing in 256 ops"
-        );
-        assert!(
-            draws_a.iter().any(Option::is_none),
-            "seed 42 faults every op"
+        assert_eq!(
+            FaultPlan::parse_schedule("3:whatever").unwrap_err(),
+            "unknown fault kind 'whatever' \
+             (expected enospc|eio|torn@N|slow@MS|rename|stuck|heal)"
         );
     }
 

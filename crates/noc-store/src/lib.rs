@@ -12,27 +12,33 @@
 //!   simulator's `FaultSchedule`);
 //! * CRC32 record framing ([`seal_line`] / [`open_line`]) so a torn **or
 //!   corrupt** JSONL row is detected — never parsed as data;
-//! * bounded write-retry with capped exponential backoff ([`with_retry`])
-//!   before a failure escalates to the caller.
+//! * bounded write-retry ([`RetryPolicy`]) under the workspace's one
+//!   capped exponential [`backoff`] before a failure escalates to the
+//!   caller;
+//! * the generic fault [`Plan`] and [`Injector`] that this crate's
+//!   `FaultVfs` and `noc-net`'s fault transport both replay.
 //!
-//! The fault schedule is driven by two environment knobs, validated
-//! eagerly by every binary (exit status 2 on garbage, like `NOC_THREADS`):
+//! The storage fault schedule is driven by two environment knobs,
+//! validated eagerly by every binary (exit status 2 on garbage, like
+//! `NOC_THREADS`):
 //!
 //! * `NOC_VFS_FAULT_SCHEDULE` — explicit events, e.g.
 //!   `"3:enospc,7:torn@12,9:rename,2:stuck,8:heal"` (op-indexed);
 //! * `NOC_VFS_FAULT_SEED` — seeded pseudo-random faults for soaks.
 //!
-//! See DESIGN.md §15 for the fault matrix.
+//! See DESIGN.md §15 for the grammar, the precedence and the fault matrix.
 
 #![forbid(unsafe_code)]
 
 pub mod fault;
 pub mod frame;
+pub mod plan;
 pub mod vfs;
 
-pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultVfs};
+pub use fault::{FaultKind, FaultPlan, FaultVfs};
 pub use frame::{crc32, open_line, seal_line, LineCheck};
-pub use vfs::{active, AppendLog, RetryPolicy, StdVfs, Vfs};
+pub use plan::{Injector, Kind, Plan};
+pub use vfs::{active, backoff, AppendLog, RetryPolicy, StdVfs, Vfs};
 
 /// FNV-1a 64-bit — the workspace's canonical content-address hash, local
 /// so this crate stays dependency-free.

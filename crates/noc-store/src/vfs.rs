@@ -152,9 +152,16 @@ impl Vfs for StdVfs {
     }
 }
 
-/// Bounded retry with capped exponential backoff: attempt `n` (1-based)
-/// sleeps `base_ms << (n-1)` before retrying, capped at 64× the base.
-/// The write paths use this before escalating a storage failure.
+/// The workspace's one backoff formula: milliseconds to wait after
+/// `failed_attempts` consecutive failures (1-based) — `base << (n-1)`,
+/// capped at 64× the base, saturating instead of wrapping for huge bases.
+#[must_use]
+pub fn backoff(base: u64, failed_attempts: u32) -> u64 {
+    base.saturating_mul(1 << failed_attempts.saturating_sub(1).min(6))
+}
+
+/// Bounded retry under [`backoff`]. The write paths use this before
+/// escalating a storage failure.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
     /// Total attempts (including the first).
@@ -185,19 +192,11 @@ impl RetryPolicy {
                 Err(e) => last = Some(e),
             }
             if n < attempts {
-                let factor = 1u64 << (u64::from(n - 1)).min(6); // capped 64x
-                std::thread::sleep(std::time::Duration::from_millis(
-                    self.base_ms.saturating_mul(factor),
-                ));
+                std::thread::sleep(std::time::Duration::from_millis(backoff(self.base_ms, n)));
             }
         }
         Err(last.unwrap_or_else(|| io::Error::other("retry with zero attempts")))
     }
-}
-
-/// [`RetryPolicy::run`] with the default policy.
-pub fn with_retry<T>(op: impl FnMut(u32) -> io::Result<T>) -> io::Result<T> {
-    RetryPolicy::default().run(op)
 }
 
 static ACTIVE: OnceLock<Arc<dyn Vfs>> = OnceLock::new();
@@ -209,10 +208,7 @@ static ACTIVE: OnceLock<Arc<dyn Vfs>> = OnceLock::new();
 /// plan construct their own `FaultVfs` and pass it explicitly instead.
 pub fn active() -> Arc<dyn Vfs> {
     Arc::clone(ACTIVE.get_or_init(|| {
-        match crate::FaultPlan::from_env(
-            std::env::var("NOC_VFS_FAULT_SCHEDULE").ok().as_deref(),
-            std::env::var("NOC_VFS_FAULT_SEED").ok().as_deref(),
-        ) {
+        match crate::FaultPlan::from_process_env() {
             Ok(Some(plan)) => Arc::new(crate::FaultVfs::new(plan)),
             Ok(None) => Arc::new(StdVfs),
             // Binaries validate eagerly at startup; reaching this panic
@@ -274,6 +270,20 @@ mod tests {
         log.append(b"three\n").unwrap();
         assert_eq!(vfs.read_to_string(&path).unwrap(), "one\ntwo\nthree\n");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn backoff_doubles_to_a_64x_cap_and_saturates() {
+        assert_eq!(
+            [0, 1, 2, 3, 7, 8, u32::MAX].map(|n| backoff(10, n)),
+            [10, 10, 20, 40, 640, 640, 640]
+        );
+        assert_eq!(backoff(u64::MAX, 7), u64::MAX);
+        for base in [0, 1, 1 << 58, u64::MAX] {
+            for n in 1..12 {
+                assert!(backoff(base, n) >= base, "backoff({base}, {n})");
+            }
+        }
     }
 
     #[test]
