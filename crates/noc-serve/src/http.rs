@@ -460,8 +460,8 @@ fn route(
             let mut obj = jsonio::JsonObj::new()
                 .str_field("status", if degraded { "degraded" } else { "ok" })
                 .str_field("storage", if degraded { "read-only" } else { "ok" })
-                .str_field("draining", &service.is_draining().to_string())
-                .str_field("queued", &service.queued().to_string())
+                .raw_field("draining", &service.is_draining().to_string())
+                .u64_field("queued", service.queued() as u64)
                 .u64_field("connections_accepted", net.accepted.get())
                 .u64_field("connections_shed", net.shed.get())
                 .u64_field("connections_reset", net.reset.get())

@@ -118,6 +118,9 @@ fn torn_request_at_every_byte_offset_leaves_server_alive() {
     assert_eq!(status_code(&raw), Some(200));
     let text = String::from_utf8_lossy(&raw);
     assert!(text.contains("\"connections_reset\""), "healthz: {text}");
+    // Counts and flags are typed JSON, not strings.
+    assert!(text.contains("\"queued\": 0,"), "healthz: {text}");
+    assert!(text.contains("\"draining\": false,"), "healthz: {text}");
     // Most cuts die before a complete request; all of those are resets.
     assert!(
         h.service.net().reset.get() > 0,

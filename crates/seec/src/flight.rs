@@ -32,66 +32,31 @@ pub struct FfFlight {
 }
 
 impl FfFlight {
-    /// Plans a flight for `flits` (a fully drained packet) currently at
-    /// router `from`, destined for `dest`'s NIC ejection VC `ej_vc`.
+    /// Plans a flight for `flits` (a fully drained packet, upgraded by a
+    /// seeker at cycle `now`) currently at router `from`, destined for
+    /// `dest`'s NIC ejection VC `ej_vc`.
     ///
     /// `column_first` picks YX instead of XY hop order — mSEEC flights stay
     /// in their column partition as long as possible (Fig 5), base SEEC uses
-    /// XY. The earliest conflict-free departure at or after `earliest` is
-    /// chosen by probing the reservation table (for base SEEC the table is
-    /// empty and `earliest` is always used; for mSEEC this enforces the
-    /// static schedule's non-intersection guarantee structurally).
+    /// XY. The earliest conflict-free departure after `now` is chosen by
+    /// probing the reservation table (for base SEEC the table is empty and
+    /// `now + 1` is always used; for mSEEC this enforces the static
+    /// schedule's non-intersection guarantee structurally).
     pub fn plan(
         net: &mut Network,
         mut flits: Vec<Flit>,
         from: NodeId,
         dest: NodeId,
         ej_vc: usize,
-        earliest: Cycle,
+        now: Cycle,
         column_first: bool,
     ) -> FfFlight {
-        let cols = net.cfg.cols;
-        let here = from.to_coord(cols);
-        let there = dest.to_coord(cols);
-        let path = minimal_path(here, there, column_first);
-        let mut links: Vec<(NodeId, PortId)> = Vec::with_capacity(path.len() + 1);
-        let mut cur = here;
-        for &next in &path {
-            links.push((cur.to_node(cols), hop_dir(cur, next).index()));
-            cur = next;
-        }
-        links.push((dest, Direction::Local.index()));
-
-        let len = flits.len() as Cycle;
-        // Probe for the earliest conflict-free departure. Each link i is
-        // occupied for cycles [depart+i, depart+i+len-1].
-        let mut depart = earliest;
-        'probe: loop {
-            for (i, &(node, port)) in links.iter().enumerate() {
-                let from_c = depart + i as Cycle;
-                if net
-                    .reservations
-                    .conflicts(node, port, from_c, from_c + len - 1)
-                {
-                    depart += 1;
-                    continue 'probe;
-                }
-            }
-            break;
-        }
-        for (i, &(node, port)) in links.iter().enumerate() {
-            let from_c = depart + i as Cycle;
-            net.reservations
-                .reserve(node, port, from_c, from_c + len - 1);
-        }
-
-        // The data path crosses `links.len() - 1` router-router links; stamp
-        // hop counts now. One lookahead per link precedes the data.
-        let hops = (links.len() - 1) as u8;
+        let links = express_links(net, from, dest, column_first);
+        let depart = reserve(net, &links, now + 1, flits.len() as Cycle);
         for f in &mut flits {
-            f.hops = f.hops.saturating_add(hops);
-            f.vc = ej_vc as u8;
+            upgrade(f, now, &links, ej_vc);
         }
+        // One lookahead per link precedes the data.
         net.stats.lookahead_hops += links.len() as u64;
 
         FfFlight {
@@ -159,18 +124,62 @@ pub fn ff_path_is_live(net: &Network, from: NodeId, dest: NodeId, column_first: 
         Some(f) if f.dead.any() => {}
         _ => return true,
     }
+    let links = express_links(net, from, dest, column_first);
+    links[..links.len() - 1]
+        .iter()
+        .all(|&(node, port)| net.neighbor(node, Direction::from_index(port)).is_some())
+}
+
+/// The output links of the express path from router `from` to `dest`'s NIC,
+/// in path order: the router-router links of the minimal XY (or, with
+/// `column_first`, YX) path, then `dest`'s local (ejection) port.
+fn express_links(
+    net: &Network,
+    from: NodeId,
+    dest: NodeId,
+    column_first: bool,
+) -> Vec<(NodeId, PortId)> {
     let cols = net.cfg.cols;
     let mut cur = from.to_coord(cols);
-    for next in minimal_path(cur, dest.to_coord(cols), column_first) {
-        if net
-            .neighbor(cur.to_node(cols), hop_dir(cur, next))
-            .is_none()
-        {
-            return false;
-        }
+    let path = minimal_path(cur, dest.to_coord(cols), column_first);
+    let mut links = Vec::with_capacity(path.len() + 1);
+    for next in path {
+        links.push((cur.to_node(cols), hop_dir(cur, next).index()));
         cur = next;
     }
-    true
+    links.push((dest, Direction::Local.index()));
+    links
+}
+
+/// Reserves every link of `links` for a `len`-cycle window at the earliest
+/// conflict-free departure at or after `earliest`, and returns that
+/// departure: link `i` is held for cycles `[depart + i, depart + i + len - 1]`.
+/// A batch flight holds one window for the whole packet, a stream one
+/// single-cycle window per flit.
+fn reserve(net: &mut Network, links: &[(NodeId, PortId)], earliest: Cycle, len: Cycle) -> Cycle {
+    let mut depart = earliest;
+    while links.iter().enumerate().any(|(i, &(node, port))| {
+        let at = depart + i as Cycle;
+        net.reservations.conflicts(node, port, at, at + len - 1)
+    }) {
+        depart += 1;
+    }
+    for (i, &(node, port)) in links.iter().enumerate() {
+        let at = depart + i as Cycle;
+        net.reservations.reserve(node, port, at, at + len - 1);
+    }
+    depart
+}
+
+/// Marks `flit` as Free-Flow, upgraded by a seeker at cycle `at` and bound
+/// for ejection VC `ej_vc` over `links`; the router-router hops of that path
+/// (every link but the last) are charged to it now.
+fn upgrade(flit: &mut Flit, at: Cycle, links: &[(NodeId, PortId)], ej_vc: usize) {
+    flit.ff = true;
+    flit.ff_upgrade = Some(at);
+    flit.escape = false;
+    flit.hops = flit.hops.saturating_add((links.len() - 1) as u8);
+    flit.vc = ej_vc as u8;
 }
 
 /// Minimal path from `from` to `to`, XY (row-first) or YX (column-first)
@@ -215,14 +224,7 @@ mod tests {
             birth: 0,
             measured: true,
         };
-        (0..len)
-            .map(|s| {
-                let mut f = Flit::from_packet(&p, s, 5);
-                f.ff = true;
-                f.ff_upgrade = Some(10);
-                f
-            })
-            .collect()
+        (0..len).map(|s| Flit::from_packet(&p, s, 5)).collect()
     }
 
     #[test]
@@ -236,7 +238,7 @@ mod tests {
             from,
             dest,
             0,
-            11,
+            10,
             false,
         );
         assert_eq!(flight.links().len(), 5);
@@ -275,7 +277,7 @@ mod tests {
             NodeId(0),
             dest,
             0,
-            5,
+            4,
             false,
         );
         // Same path, same earliest: must be pushed past a's occupancy.
@@ -285,7 +287,7 @@ mod tests {
             NodeId(0),
             dest,
             1,
-            5,
+            4,
             false,
         );
         assert!(b.depart() > a.depart());
@@ -332,7 +334,7 @@ mod tests {
             dest,
             dest,
             1,
-            100,
+            99,
             false,
         );
         assert_eq!(flight.links().len(), 1);
@@ -379,19 +381,11 @@ impl FfStream {
         now: Cycle,
         column_first: bool,
     ) -> FfStream {
-        let cols = net.cfg.cols;
         let head = *net.routers[node.idx()].inputs[port].vcs[vc]
             .front()
             .expect("capturing empty VC");
         debug_assert!(head.kind.is_head());
-        let path = minimal_path(node.to_coord(cols), dest.to_coord(cols), column_first);
-        let mut links: Vec<(NodeId, PortId)> = Vec::with_capacity(path.len() + 1);
-        let mut cur = node.to_coord(cols);
-        for &next in &path {
-            links.push((cur.to_node(cols), hop_dir(cur, next).index()));
-            cur = next;
-        }
-        links.push((dest, Direction::Local.index()));
+        let links = express_links(net, node, dest, column_first);
         net.stats.lookahead_hops += links.len() as u64;
         net.routers[node.idx()].inputs[port].vcs[vc].ff_capture = true;
         let mut s = FfStream {
@@ -422,29 +416,10 @@ impl FfStream {
             // The tail passed: the VC has been released.
             self.src = None;
         }
-        let hops = (self.links.len() - 1) as u8;
         for mut f in flits {
-            f.ff = true;
-            f.ff_upgrade = Some(self.upgrade_cycle);
-            f.escape = false;
-            f.hops = f.hops.saturating_add(hops);
-            f.vc = self.ej_vc as u8;
+            upgrade(&mut f, self.upgrade_cycle, &self.links, self.ej_vc);
             // Earliest conflict-free departure after the previous flit.
-            let mut depart = (now + 1).max(self.last_depart + 1);
-            'probe: loop {
-                for (i, &(n, p)) in self.links.iter().enumerate() {
-                    let c = depart + i as Cycle;
-                    if net.reservations.conflicts(n, p, c, c) {
-                        depart += 1;
-                        continue 'probe;
-                    }
-                }
-                break;
-            }
-            for (i, &(n, p)) in self.links.iter().enumerate() {
-                let c = depart + i as Cycle;
-                net.reservations.reserve(n, p, c, c);
-            }
+            let depart = reserve(net, &self.links, (now + 1).max(self.last_depart + 1), 1);
             self.last_depart = depart;
             self.launched.push((depart, f));
         }
@@ -470,6 +445,25 @@ impl FfStream {
             self.delivered += 1;
         }
         self.delivered == self.total as usize
+    }
+}
+
+/// The express traversal a seeker's match launched: a whole drained packet
+/// (VCT, or from a NIC queue) flying as one batch, or a captured wormhole VC
+/// streaming its flits as they arrive.
+pub(crate) enum Express {
+    Flight(FfFlight),
+    Stream(FfStream),
+}
+
+impl Express {
+    /// One cycle of progress; `true` once the whole packet sits in the
+    /// reserved ejection VC.
+    pub(crate) fn advance(&mut self, net: &mut Network, now: Cycle) -> bool {
+        match self {
+            Express::Flight(f) => f.advance(net, now),
+            Express::Stream(s) => s.advance(net, now),
+        }
     }
 }
 

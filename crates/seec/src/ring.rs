@@ -63,18 +63,6 @@ impl SeekerRing {
         SeekerRing { seq, first_pos }
     }
 
-    /// Builds an explicit walk (used by mSEEC partitions and tests).
-    /// Consecutive entries must be neighbours.
-    pub fn from_walk(seq: Vec<NodeId>, num_nodes: usize) -> SeekerRing {
-        let mut first_pos = vec![usize::MAX; num_nodes];
-        for (i, &node) in seq.iter().enumerate() {
-            if first_pos[node.idx()] == usize::MAX {
-                first_pos[node.idx()] = i;
-            }
-        }
-        SeekerRing { seq, first_pos }
-    }
-
     /// Length of the walk in hops (one full seeker revolution).
     pub fn len(&self) -> usize {
         self.seq.len()

@@ -11,6 +11,14 @@ fn adaptive_cfg(k: u8, vcs: u8, seed: u64) -> NetConfig {
         .with_seed(seed)
 }
 
+fn mechanism(cfg: &NetConfig, mseec: bool) -> Box<dyn noc_sim::Mechanism> {
+    if mseec {
+        Box::new(MSeecMechanism::for_net(cfg))
+    } else {
+        Box::new(SeecMechanism::for_net(cfg))
+    }
+}
+
 #[test]
 fn seec_delivers_and_uses_ff_under_load() {
     let cfg = adaptive_cfg(4, 2, 21);
@@ -110,28 +118,30 @@ fn mseec_keeps_single_vc_adaptive_routing_deadlock_free() {
 /// we can check in aggregate because *all* routing here is minimal.
 #[test]
 fn seec_packets_route_minimally() {
-    let cfg = adaptive_cfg(4, 2, 91);
-    let cols = cfg.cols;
-    let wl = SyntheticWorkload::new(TrafficPattern::BitComplement, 0.04, 4, 4, cfg.warmup, 91);
-    let mech = SeecMechanism::for_net(&cfg);
-    let mut sim = Sim::new(cfg, Box::new(wl), Box::new(mech));
-    sim.run(20_000);
-    let s = sim.finish();
-    // Bit complement on 4x4: src (x,y) → (3-x, 3-y); hops = |3-2x|+|3-2y|.
-    let mut expect = 0.0;
-    let mut n = 0;
-    for x in 0..cols {
-        for y in 0..cols {
-            expect += ((3 - 2 * x as i32).abs() + (3 - 2 * y as i32).abs()) as f64;
-            n += 1;
+    for mseec in [false, true] {
+        let cfg = adaptive_cfg(4, 2, 91);
+        let cols = cfg.cols;
+        let wl = SyntheticWorkload::new(TrafficPattern::BitComplement, 0.04, 4, 4, cfg.warmup, 91);
+        let mech = mechanism(&cfg, mseec);
+        let mut sim = Sim::new(cfg, Box::new(wl), mech);
+        sim.run(20_000);
+        let s = sim.finish();
+        // Bit complement on 4x4: src (x,y) → (3-x, 3-y); hops = |3-2x|+|3-2y|.
+        let mut expect = 0.0;
+        let mut n = 0;
+        for x in 0..cols {
+            for y in 0..cols {
+                expect += ((3 - 2 * x as i32).abs() + (3 - 2 * y as i32).abs()) as f64;
+                n += 1;
+            }
         }
+        expect /= n as f64;
+        let got = s.avg_hops();
+        assert!(
+            (got - expect).abs() < 0.05,
+            "mseec={mseec}: avg hops {got} vs minimal {expect} — something misrouted"
+        );
     }
-    expect /= n as f64;
-    let got = s.avg_hops();
-    assert!(
-        (got - expect).abs() < 0.05,
-        "avg hops {got} vs minimal {expect} — something misrouted"
-    );
 }
 
 #[test]
@@ -140,11 +150,7 @@ fn seec_and_mseec_are_deterministic() {
         let cfg = adaptive_cfg(4, 2, seed);
         let wl =
             SyntheticWorkload::new(TrafficPattern::UniformRandom, 0.15, 4, 4, cfg.warmup, seed);
-        let mech: Box<dyn noc_sim::Mechanism> = if mseec {
-            Box::new(MSeecMechanism::for_net(&cfg))
-        } else {
-            Box::new(SeecMechanism::for_net(&cfg))
-        };
+        let mech = mechanism(&cfg, mseec);
         let mut sim = Sim::new(cfg, Box::new(wl), mech);
         sim.run(15_000);
         let s = sim.finish();

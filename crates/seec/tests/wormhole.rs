@@ -68,25 +68,32 @@ fn seec_streams_ff_packets_under_wormhole() {
 
 #[test]
 fn seec_wormhole_rescues_long_packets_specifically() {
-    // All packets are 5 flits with depth-1 VCs: every upgrade must stream.
-    let cfg = wormhole_cfg(4, 1, 1, 19);
-    let wl = SyntheticWorkload::new(TrafficPattern::UniformRandom, 0.15, 4, 4, cfg.warmup, 19)
-        .with_mix(PacketMix {
-            short_len: 5,
-            long_len: 5,
-            long_prob: 1.0,
-        });
-    let mech = SeecMechanism::for_net(&cfg);
-    let mut sim = Sim::new(cfg, Box::new(wl), Box::new(mech));
-    for _ in 0..40 {
-        sim.run(1000);
-        assert!(
-            !watchdog::looks_stuck(&sim.net, watchdog::DEFAULT_STUCK_THRESHOLD),
-            "wedged at {}",
-            sim.net.cycle
-        );
+    // All packets are 5 flits with depth-1 VCs: every upgrade must stream,
+    // under either schedule.
+    for mseec in [false, true] {
+        let cfg = wormhole_cfg(4, 1, 1, 19);
+        let wl = SyntheticWorkload::new(TrafficPattern::UniformRandom, 0.15, 4, 4, cfg.warmup, 19)
+            .with_mix(PacketMix {
+                short_len: 5,
+                long_len: 5,
+                long_prob: 1.0,
+            });
+        let mech: Box<dyn noc_sim::Mechanism> = if mseec {
+            Box::new(MSeecMechanism::for_net(&cfg))
+        } else {
+            Box::new(SeecMechanism::for_net(&cfg))
+        };
+        let mut sim = Sim::new(cfg, Box::new(wl), mech);
+        for _ in 0..40 {
+            sim.run(1000);
+            assert!(
+                !watchdog::looks_stuck(&sim.net, watchdog::DEFAULT_STUCK_THRESHOLD),
+                "mseec={mseec}: wedged at {}",
+                sim.net.cycle
+            );
+        }
+        assert!(sim.net.stats.ff_packets > 0, "mseec={mseec}");
     }
-    assert!(sim.net.stats.ff_packets > 0);
 }
 
 #[test]
