@@ -237,7 +237,11 @@ impl Client {
 
     /// One job's status row.
     pub fn status(&self, id: &str) -> Result<JobView, ClientError> {
-        let resp = self.request_with_retry("GET", &format!("/jobs/{id}"), "")?;
+        self.status_at(&format!("/jobs/{id}"))
+    }
+
+    fn status_at(&self, path: &str) -> Result<JobView, ClientError> {
+        let resp = self.request_with_retry("GET", path, "")?;
         match resp.code {
             200 => JobView::parse(&resp.body),
             code => Err(ClientError::Http(code, resp.body)),
@@ -297,9 +301,14 @@ impl Client {
         Err(ClientError::GaveUp(last))
     }
 
-    /// Polls until the job is terminal, tolerating transient failures
-    /// (each poll has its own retry budget; a `GaveUp` poll just polls
-    /// again) up to `budget`.
+    /// Waits until the job is terminal, tolerating transient failures
+    /// (each request has its own retry budget; a `GaveUp` one just asks
+    /// again) up to `budget`. Each request is a long-poll — the server
+    /// holds it until the job settles or `wait_ms` passes, so the answer
+    /// arrives at the `DONE` edge, not at the next poll — asking for the
+    /// remaining budget, at most half the socket timeout so a held
+    /// request is never mistaken for a dead one. `poll` is only the pause
+    /// after an answer that was not terminal.
     pub fn await_terminal(
         &self,
         id: &str,
@@ -309,7 +318,11 @@ impl Client {
         let deadline = std::time::Instant::now() + budget;
         let mut last = ClientError::GaveUp("no polls completed".into());
         loop {
-            match self.status(id) {
+            let wait_ms = deadline
+                .saturating_duration_since(std::time::Instant::now())
+                .as_millis()
+                .min(u128::from(self.opts.op_timeout_ms / 2));
+            match self.status_at(&format!("/jobs/{id}?wait_ms={wait_ms}")) {
                 Ok(view) if view.is_terminal() => return Ok(view),
                 Ok(_) => {}
                 Err(e @ ClientError::Http(..)) => return Err(e),

@@ -101,7 +101,8 @@ impl Transport {
     }
 
     /// Wraps a bound listener. Accepting a pending connection consumes one
-    /// op; an accept that would block consumes nothing (idle polling must
+    /// op; an accept that blocks, would block, or only takes the loop's own
+    /// wake-up connection consumes nothing (idling and shutting down must
     /// not burn schedule indices).
     #[must_use]
     pub fn listener(&self, inner: TcpListener) -> FaultListener {
@@ -160,6 +161,27 @@ impl FaultListener {
     /// consuming an op index.
     pub fn accept(&self) -> io::Result<(FaultStream, SocketAddr)> {
         let (stream, peer) = self.inner.accept()?;
+        self.admit(stream, peer)
+    }
+
+    /// [`FaultListener::accept`] for a blocking accept loop with a stop
+    /// flag: a connection that arrives once `stop` is set — the loop's
+    /// own wake-up connection — is dropped *before* it reaches the plan
+    /// and reported as `Ok(None)`, so shutting down consumes no op index
+    /// and schedules recorded against the polling loop still replay.
+    pub fn accept_unless(
+        &self,
+        stop: &AtomicBool,
+    ) -> io::Result<Option<(FaultStream, SocketAddr)>> {
+        let (stream, peer) = self.inner.accept()?;
+        if stop.load(Ordering::SeqCst) {
+            return Ok(None);
+        }
+        self.admit(stream, peer).map(Some)
+    }
+
+    /// Runs one accepted connection through the plan (one op).
+    fn admit(&self, stream: TcpStream, peer: SocketAddr) -> io::Result<(FaultStream, SocketAddr)> {
         let Some(net) = &self.net else {
             return Ok((FaultStream::passthrough(stream), peer));
         };
@@ -413,6 +435,24 @@ mod tests {
         // The next accept works: the fault was one op, not a state change.
         let _client2 = TcpStream::connect(&addr).unwrap();
         listener.accept().expect("second accept passes");
+    }
+
+    #[test]
+    fn wake_up_connection_never_reaches_the_plan() {
+        // Op 0 would reset whatever is accepted first.
+        let net = FaultNet::new(NetFaultPlan::default().with_event(0, NetFaultKind::Reset));
+        let raw = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = raw.local_addr().unwrap();
+        let listener = Transport::faulted(Arc::clone(&net)).listener(raw);
+        let stop = AtomicBool::new(true);
+        let _wake = TcpStream::connect(addr).unwrap();
+        assert!(listener.accept_unless(&stop).unwrap().is_none());
+        assert_eq!(net.ops(), 0, "the wake-up must not consume an op");
+        // With the flag down the same call is `accept`: op 0 fires.
+        stop.store(false, Ordering::SeqCst);
+        let _client = TcpStream::connect(addr).unwrap();
+        assert!(listener.accept_unless(&stop).is_err());
+        assert_eq!(net.ops(), 1);
     }
 
     #[test]

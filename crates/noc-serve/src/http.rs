@@ -3,6 +3,16 @@
 //! per-connection total-request deadline; one request per connection
 //! (`Connection: close`).
 //!
+//! Nothing on a request's path sleeps or polls. The accept loop **blocks**
+//! in `accept`, so an idle server answers in the time the work takes; a
+//! status request may **long-poll** (`?wait_ms=`) on the registry's
+//! condvar, so a client learns of `DONE` at the edge instead of at its
+//! next poll. The one timer left — a watcher thread that looks at the
+//! shutdown flag every [`SHUTDOWN_POLL`] — sits beside the path, not on
+//! it: when the flag flips it wakes the blocked `accept` with a loopback
+//! connection, the loop exits, pending long-polls are woken to answer
+//! with what they have, and every connection thread is joined.
+//!
 //! ```text
 //! POST /jobs            submit (flat JSON body)  202 created / 200 dedupe
 //!                       400 bad spec · 413 body too large
@@ -10,7 +20,11 @@
 //!                       503 + Retry-After storage degraded (read-only)
 //! GET  /jobs            every job, one JSON row per line
 //! GET  /jobs/<id>       one job's status row            (404 unknown)
+//! GET  /jobs/<id>?wait_ms=N   the same row, held until the job is
+//!                       terminal, the server shuts down, or N ms pass
+//!                       (N capped at 30 000; garbage N = no wait)
 //! GET  /jobs/<id>/rows  the unit journal, as JSONL      (404 unknown)
+//!                       503 + Retry-After journal unreadable
 //! POST /jobs/<id>/cancel                                 (409 terminal)
 //! GET  /healthz         liveness + queue depth + storage + net counters
 //! POST /drain           begin graceful shutdown, 202
@@ -22,9 +36,9 @@
 //! is enforced *before* work is queued:
 //!
 //! * **bounded concurrency** — at most [`HttpOpts::max_connections`]
-//!   in-flight connections; the overflow connection gets an immediate
-//!   `503` + `Retry-After` on the accept thread and is counted in
-//!   `connections_shed`;
+//!   in-flight connections, a parked long-poll included; the overflow
+//!   connection gets an immediate `503` + `Retry-After` on the accept
+//!   thread and is counted in `connections_shed`;
 //! * **total-request deadline** — a connection has
 //!   [`HttpOpts::request_deadline_ms`] to deliver its whole request
 //!   (slow-loris defense): the socket read timeout is always the
@@ -41,10 +55,12 @@
 //!
 //! All traffic flows through a `noc_net::Transport`: passthrough in
 //! production (one branch per op), a replayable fault plan under the
-//! `NOC_NET_FAULT_*` knobs or in the network-chaos soak.
+//! `NOC_NET_FAULT_*` knobs or in the network-chaos soak. The plan counts
+//! operations, not time: a blocked accept, the shutdown wake-up connection
+//! and a parked long-poll consume no op index.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -57,6 +73,16 @@ use crate::service::{Service, SubmitError};
 /// Largest accepted request body. Specs are small; anything bigger is a
 /// client bug or abuse, refused with `413`.
 const MAX_BODY: usize = 64 * 1024;
+
+/// Longest a `?wait_ms=` long-poll is held. Above any sane client read
+/// timeout's half (the client asks for `op_timeout_ms / 2`), below "a
+/// connection slot is gone for good".
+const MAX_WAIT_MS: u64 = 30_000;
+
+/// How often the watcher thread looks at the shutdown flag — the bound on
+/// how long a drain waits for the accept loop, and the only periodic timer
+/// in this module.
+const SHUTDOWN_POLL: Duration = Duration::from_millis(20);
 
 /// Admission limits for the HTTP layer. Every knob sheds *early* — at
 /// accept or header-parse time — so overload costs a refusal, not memory
@@ -100,9 +126,11 @@ pub fn serve(listener: TcpListener, service: &Arc<Service>, shutdown: &Arc<Atomi
 }
 
 /// [`serve`] with explicit limits and transport (the chaos soak injects a
-/// faulted transport here). The listener runs non-blocking so the flag is
-/// observed within ~20 ms; each accepted connection is handled on a
-/// tracked thread, reaped as it finishes and joined before returning.
+/// faulted transport here). The listener blocks; a watcher thread turns
+/// the flag flipping into a loopback connection that unblocks it (dropped
+/// before the fault plan or any counter sees it). Each accepted connection
+/// is handled on a tracked thread, reaped as it finishes and joined before
+/// returning — after pending long-polls have been woken.
 pub fn serve_with(
     listener: TcpListener,
     service: &Arc<Service>,
@@ -110,13 +138,35 @@ pub fn serve_with(
     opts: &HttpOpts,
     transport: &Transport,
 ) {
-    listener
-        .set_nonblocking(true)
-        .expect("listener nonblocking");
     let listener = transport.listener(listener);
+    let wake_addr = listener.local_addr();
+    let exited = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let watcher = scope.spawn(|| {
+            while !exited.load(Ordering::SeqCst) {
+                if shutdown.load(Ordering::SeqCst) {
+                    if let Ok(addr) = &wake_addr {
+                        let _ = TcpStream::connect_timeout(addr, SHUTDOWN_POLL);
+                    }
+                }
+                std::thread::park_timeout(SHUTDOWN_POLL);
+            }
+        });
+        accept_loop(&listener, service, shutdown, opts);
+        exited.store(true, Ordering::SeqCst);
+        watcher.thread().unpark();
+    });
+}
+
+fn accept_loop(
+    listener: &noc_net::FaultListener,
+    service: &Arc<Service>,
+    shutdown: &Arc<AtomicBool>,
+    opts: &HttpOpts,
+) {
     let live = Arc::new(AtomicUsize::new(0));
     let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::Relaxed) {
+    while !shutdown.load(Ordering::SeqCst) {
         // Reap finished connection threads so the tracking list stays
         // proportional to live connections, not total served.
         let mut i = 0;
@@ -127,8 +177,9 @@ pub fn serve_with(
                 i += 1;
             }
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
+        match listener.accept_unless(shutdown) {
+            Ok(None) => break, // the watcher's wake-up
+            Ok(Some((stream, _))) => {
                 service.net().accepted.incr();
                 if live.load(Ordering::SeqCst) >= opts.max_connections {
                     // Shed inline on the accept thread: the response is a
@@ -161,9 +212,6 @@ pub fn serve_with(
                     }
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
             Err(_) => {
                 // A failed accept (injected or real) drops one pending
                 // connection; the listener itself survives.
@@ -172,6 +220,9 @@ pub fn serve_with(
             }
         }
     }
+    // A parked long-poll would otherwise hold its thread, and this join,
+    // for the rest of its patience.
+    service.wake_waiters();
     for h in handles {
         let _ = h.join();
     }
@@ -376,7 +427,19 @@ fn handle(
         }
         ReadEnd::TooLong => unreachable!("body reads have no line cap"),
     };
-    route(stream, service, shutdown, &method, &path, &body)
+    let (path, query) = path.split_once('?').unwrap_or((&path, ""));
+    route(stream, service, shutdown, &method, path, query, &body)
+}
+
+/// The `wait_ms` of a status request's query string, capped; absent or
+/// garbage means "do not wait".
+fn wait_of(query: &str) -> Duration {
+    let ms = query
+        .split('&')
+        .find_map(|kv| kv.strip_prefix("wait_ms="))
+        .and_then(|v| v.parse::<u64>().ok())
+        .unwrap_or(0);
+    Duration::from_millis(ms.min(MAX_WAIT_MS))
 }
 
 fn refuse_deadline(stream: FaultStream, service: &Service) -> io::Result<()> {
@@ -405,6 +468,7 @@ fn route(
     shutdown: &AtomicBool,
     method: &str,
     path: &str,
+    query: &str,
     body: &str,
 ) -> io::Result<()> {
     match (method, path) {
@@ -474,7 +538,7 @@ fn route(
             respond(stream, 200, "OK", &obj.finish())
         }
         ("POST", "/drain") => {
-            shutdown.store(true, Ordering::Relaxed);
+            shutdown.store(true, Ordering::SeqCst);
             respond(stream, 202, "Accepted", r#"{"status": "draining"}"#)
         }
         ("POST", p) if p.starts_with("/jobs/") && p.ends_with("/cancel") => {
@@ -493,16 +557,26 @@ fn route(
         ("GET", p) if p.starts_with("/jobs/") && p.ends_with("/rows") => {
             let id = &p["/jobs/".len()..p.len() - "/rows".len()];
             match service.rows_path(id) {
-                Some(path) => {
-                    let text = std::fs::read_to_string(path).unwrap_or_default();
-                    respond(stream, 200, "OK", &text)
-                }
+                // A queued job has no journal yet: that is an empty row
+                // set. Any other read failure is storage misbehaving, and
+                // must not pass for "zero rows".
+                Some(path) => match std::fs::read_to_string(path) {
+                    Ok(text) => respond(stream, 200, "OK", &text),
+                    Err(e) if e.kind() == io::ErrorKind::NotFound => respond(stream, 200, "OK", ""),
+                    Err(e) => respond_with(
+                        stream,
+                        503,
+                        "Service Unavailable",
+                        &[("Retry-After", "1")],
+                        &error_row(&format!("cannot read rows: {e}")),
+                    ),
+                },
                 None => respond(stream, 404, "Not Found", &error_row("unknown job")),
             }
         }
         ("GET", p) if p.starts_with("/jobs/") => {
             let id = &p["/jobs/".len()..];
-            match service.status(id) {
+            match service.status_when_terminal(id, wait_of(query), shutdown) {
                 Some(status) => respond(stream, 200, "OK", &status.to_row()),
                 None => respond(stream, 404, "Not Found", &error_row("unknown job")),
             }

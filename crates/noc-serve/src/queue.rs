@@ -1,11 +1,14 @@
 //! A bounded MPMC work queue with explicit overload semantics.
 //!
-//! `try_push` never blocks: a full queue is a [`QueueFull`] error the HTTP
+//! `reserve` never blocks: a full queue is a [`QueueFull`] error the HTTP
 //! layer turns into `429 Too Many Requests` + `Retry-After` — shedding
-//! load at the front door instead of letting latency collapse. `requeue`
-//! bypasses the bound: a job the service *already accepted* (a retry after
-//! a panicking attempt, a drain-interrupted resume) must never be shed, or
-//! acceptance would be a lie.
+//! load at the front door instead of letting latency collapse. Admission
+//! is two-step: the [`Slot`] a submission reserves counts toward the bound
+//! while its acceptance artifacts are made durable, and only
+//! [`Slot::publish`] shows the item to a worker; a dropped slot is simply
+//! released. `requeue` bypasses the bound: a job the service *already
+//! accepted* (a retry after a panicking attempt, a drain-interrupted
+//! resume) must never be shed, or acceptance would be a lie.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -20,7 +23,35 @@ pub struct QueueFull {
 
 struct Inner<T> {
     items: VecDeque<T>,
+    /// Slots reserved but not yet published or dropped.
+    reserved: usize,
     closed: bool,
+}
+
+/// One unit of queue capacity, held between admission's decision and the
+/// moment the item may run. Dropping it unpublished gives the capacity
+/// back.
+pub struct Slot<'q, T> {
+    queue: &'q BoundedQueue<T>,
+}
+
+impl<T> Slot<'_, T> {
+    /// Turns the reservation into a queued item and wakes a worker.
+    pub fn publish(self, item: T) {
+        let mut q = self.queue.lock();
+        q.items.push_back(item);
+        q.reserved -= 1;
+        drop(q);
+        self.queue.ready.notify_one();
+        // The item took over the reservation; nothing is left to release.
+        std::mem::forget(self);
+    }
+}
+
+impl<T> Drop for Slot<'_, T> {
+    fn drop(&mut self) {
+        self.queue.lock().reserved -= 1;
+    }
 }
 
 /// Bounded FIFO connecting the acceptor to the worker pool.
@@ -35,6 +66,7 @@ impl<T> BoundedQueue<T> {
         BoundedQueue {
             inner: Mutex::new(Inner {
                 items: VecDeque::new(),
+                reserved: 0,
                 closed: false,
             }),
             ready: Condvar::new(),
@@ -48,17 +80,16 @@ impl<T> BoundedQueue<T> {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Enqueues a newly accepted item, or sheds it if the queue is full or
-    /// the service is draining (callers distinguish draining beforehand).
-    pub fn try_push(&self, item: T) -> Result<(), QueueFull> {
+    /// Reserves capacity for a newly accepted item, or sheds it if the
+    /// queue (items plus outstanding reservations) is full or the service
+    /// is draining (callers distinguish draining beforehand).
+    pub fn reserve(&self) -> Result<Slot<'_, T>, QueueFull> {
         let mut q = self.lock();
-        if q.closed || q.items.len() >= self.cap {
+        if q.closed || q.items.len() + q.reserved >= self.cap {
             return Err(QueueFull { retry_after_s: 1 });
         }
-        q.items.push_back(item);
-        drop(q);
-        self.ready.notify_one();
-        Ok(())
+        q.reserved += 1;
+        Ok(Slot { queue: self })
     }
 
     /// Re-enqueues an item the service already owns. Exempt from the bound
@@ -91,7 +122,7 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Closes the queue: `try_push` sheds, `pop` returns `None` without
+    /// Closes the queue: `reserve` sheds, `pop` returns `None` without
     /// draining the backlog — undispatched items stay journaled as QUEUED
     /// and are re-adopted on the next boot.
     pub fn close(&self) {
@@ -115,13 +146,31 @@ mod tests {
     #[test]
     fn full_queue_sheds_but_requeue_is_exempt() {
         let q = BoundedQueue::new(2);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        let err = q.try_push(3).unwrap_err();
+        q.reserve().unwrap().publish(1);
+        q.reserve().unwrap().publish(2);
+        let err = q.reserve().err().expect("full");
         assert!(err.retry_after_s >= 1);
         q.requeue(3);
         assert_eq!(q.len(), 3);
         assert_eq!(q.pop(Duration::from_millis(1)), Some(1));
+        assert_eq!(q.pop(Duration::from_millis(1)), Some(2));
+        assert_eq!(q.pop(Duration::from_millis(1)), Some(3));
+        // A reserved-but-unpublished slot counts toward the bound and is
+        // invisible to workers...
+        let a = q.reserve().unwrap();
+        let b = q.reserve().unwrap();
+        assert!(q.reserve().is_err(), "reservations fill the queue");
+        assert_eq!(q.len(), 0);
+        assert_eq!(q.pop(Duration::from_millis(1)), None);
+        // ...until it is published, and is released when dropped.
+        a.publish(4);
+        assert!(q.reserve().is_err(), "a published item keeps its unit");
+        assert_eq!(q.pop(Duration::from_millis(1)), Some(4));
+        drop(b);
+        let c = q.reserve().unwrap();
+        q.close();
+        assert!(q.reserve().is_err(), "closed queue sheds reservations");
+        drop(c);
     }
 
     #[test]
@@ -133,7 +182,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         q.close();
         assert_eq!(h.join().unwrap(), None);
-        assert!(q.try_push(1).is_err(), "closed queue sheds");
+        assert!(q.reserve().is_err(), "closed queue sheds");
     }
 
     #[test]

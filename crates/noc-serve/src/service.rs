@@ -24,10 +24,10 @@
 //! jobs/<id>/quarantine.json  written when retries are exhausted
 //! ```
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use noc_experiments::jsonio::{self, JsonObj};
@@ -200,10 +200,60 @@ struct Entry {
     quarantine: Option<PathBuf>,
 }
 
+/// Terminal jobs kept resident. Disk is the truth for a settled job
+/// (`spec.json` + `state.jsonl` + `rows.ckpt.jsonl`), so the registry only
+/// needs the recent ones — the ones clients are still asking about — and a
+/// service that has run a million jobs holds as much memory as one that
+/// has run this many.
+const RESIDENT_TERMINAL_CAP: usize = 256;
+
+/// The in-memory registry: every non-terminal job, plus a bounded window
+/// of terminal ones cached over `jobs/<id>/`.
+struct Registry {
+    jobs: BTreeMap<String, Entry>,
+    /// Ids whose acceptance artifacts are being written, outside the lock,
+    /// by the submission that reserved them. Anyone else who wants the id
+    /// waits on [`Shared::changed`] until it settles.
+    admitting: BTreeSet<String>,
+    /// Resident terminal ids, oldest-settled first: the eviction order.
+    settled: VecDeque<String>,
+    /// [`RESIDENT_TERMINAL_CAP`], or a test's smaller window.
+    cap: usize,
+}
+
+impl Registry {
+    /// Makes a job resident (admission or adoption).
+    fn insert(&mut self, id: String, entry: Entry) {
+        let terminal = entry.stage.is_terminal();
+        self.jobs.insert(id.clone(), entry);
+        if terminal {
+            self.settle(id);
+        }
+    }
+
+    /// Records that resident job `id` is now terminal and evicts the
+    /// oldest-settled entries beyond the cap. Non-terminal jobs are never
+    /// evicted: their tokens, progress counters and deadlines exist only
+    /// here.
+    fn settle(&mut self, id: String) {
+        self.settled.push_back(id);
+        while self.settled.len() > self.cap {
+            if let Some(oldest) = self.settled.pop_front() {
+                self.jobs.remove(&oldest);
+            }
+        }
+    }
+}
+
 struct Shared {
     opts: ServeOpts,
     queue: BoundedQueue<String>,
-    jobs: Mutex<BTreeMap<String, Entry>>,
+    jobs: Mutex<Registry>,
+    /// The registry's one condvar, notified on every lifecycle edge, when
+    /// an admitting placeholder settles, and when the service or its HTTP
+    /// front end starts shutting down. Long-polls and same-id admissions
+    /// wait here.
+    changed: Condvar,
     draining: AtomicBool,
     /// Every persistence path goes through this handle; tests swap in a
     /// `noc_store::FaultVfs` via [`Service::open_with_vfs`].
@@ -229,6 +279,68 @@ impl Shared {
         self.opts.data_dir.join("jobs").join(id)
     }
 
+    /// Locks the registry with `id` resolved: waits out an admitting
+    /// placeholder, and on a miss re-adopts the job from `jobs/<id>/` — the
+    /// same [`adopt_one`] a boot runs, so an evicted job answers exactly as
+    /// it would after a restart. The journals are only ever appended under
+    /// this lock, so the read cannot see a half-written record.
+    fn locked_with(&self, id: &str) -> MutexGuard<'_, Registry> {
+        self.resolve(lock(&self.jobs), id)
+    }
+
+    fn resolve<'a>(&self, mut reg: MutexGuard<'a, Registry>, id: &str) -> MutexGuard<'a, Registry> {
+        while reg.admitting.contains(id) {
+            reg = wait(&self.changed, reg);
+        }
+        // Ids arrive from URLs: only the shape `JobSpec::digest` issues
+        // (16 lowercase hex digits) is ever taken to the filesystem.
+        let issued = id.len() == 16 && id.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+        if issued && !reg.jobs.contains_key(id) {
+            let dir = self.job_dir(id);
+            if self.vfs.exists(&dir.join("spec.json")) {
+                // Unreadable journals were reported at boot; here the id
+                // is simply unknown.
+                if let Ok(Some(id)) = adopt_one(self, &mut reg, &dir, id) {
+                    self.queue.requeue(id);
+                }
+            }
+        }
+        reg
+    }
+
+    /// Makes a submission durable: the job directory and both acceptance
+    /// artifacts, each landed atomically (temp + fsync + rename) so a
+    /// crash mid-submit leaves no half-written spec for the next boot to
+    /// choke on. A failed write IS a storage fault: it trips DEGRADED.
+    fn write_acceptance(&self, dir: &Path, id: &str, spec: &JobSpec) -> Result<(), SubmitError> {
+        self.vfs
+            .create_dir_all(&dir.join("dumps"))
+            .map_err(|e| SubmitError::Invalid(format!("cannot create job dir: {e}")))?;
+        // First journal line: the QUEUED acceptance record. Not a
+        // transition (there is no prior stage), so written whole.
+        let accepted = JsonObj::new()
+            .str_field("stage", Stage::Queued.label())
+            .u64_field("attempts", 0)
+            .str_field("detail", "accepted")
+            .finish();
+        self.vfs
+            .write_atomic(
+                &dir.join("spec.json"),
+                format!("{}\n", spec.to_row()).as_bytes(),
+            )
+            .and_then(|()| {
+                self.vfs.write_atomic(
+                    &dir.join("state.jsonl"),
+                    format!("{}\n", noc_store::seal_line(&accepted)).as_bytes(),
+                )
+            })
+            .map_err(|e| {
+                let why = format!("cannot persist submission {id}: {e}");
+                self.mark_degraded(&why);
+                SubmitError::StorageDegraded(why)
+            })
+    }
+
     /// Appends one transition to the job's `state.jsonl` after validating
     /// it against the lifecycle relation; an illegal edge is a scheduler
     /// bug and panics in tests (and is refused, loudly, in release).
@@ -238,7 +350,13 @@ impl Shared {
     /// with the newline-resync protocol, then trips DEGRADED — the
     /// in-memory stage already advanced, so status stays truthful even
     /// when the journal lags.
-    fn transition(&self, entry: &mut Entry, id: &str, to: Stage, detail: &str) {
+    ///
+    /// Every edge wakes the registry's waiters; a terminal edge also
+    /// enters the job into the eviction order.
+    fn transition(&self, reg: &mut Registry, id: &str, to: Stage, detail: &str) {
+        let Some(entry) = reg.jobs.get_mut(id) else {
+            return;
+        };
         let from = entry.stage;
         if !from.permits(to) {
             debug_assert!(false, "illegal transition {from} -> {to} for {id}");
@@ -269,6 +387,10 @@ impl Shared {
         if let Err(e) = appended {
             self.mark_degraded(&format!("cannot journal {id} -> {to}: {e}"));
         }
+        if to.is_terminal() {
+            reg.settle(id.to_string());
+        }
+        self.changed.notify_all();
     }
 
     /// Flips the service into read-only DEGRADED mode (idempotent).
@@ -313,11 +435,27 @@ impl Service {
     /// [`Service::open`] over an explicit storage layer — the storage-fault
     /// tests pass a seeded `noc_store::FaultVfs` here.
     pub fn open_with_vfs(opts: ServeOpts, vfs: Arc<dyn Vfs>) -> std::io::Result<Service> {
+        Service::open_with_window(opts, vfs, RESIDENT_TERMINAL_CAP)
+    }
+
+    /// [`Service::open_with_vfs`] keeping at most `cap` terminal jobs
+    /// resident — the seam the eviction test uses; not a public option.
+    pub(crate) fn open_with_window(
+        opts: ServeOpts,
+        vfs: Arc<dyn Vfs>,
+        cap: usize,
+    ) -> std::io::Result<Service> {
         let jobs_root = opts.data_dir.join("jobs");
         vfs.create_dir_all(&jobs_root)?;
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(opts.queue_cap),
-            jobs: Mutex::new(BTreeMap::new()),
+            jobs: Mutex::new(Registry {
+                jobs: BTreeMap::new(),
+                admitting: BTreeSet::new(),
+                settled: VecDeque::new(),
+                cap: cap.max(1),
+            }),
+            changed: Condvar::new(),
             draining: AtomicBool::new(false),
             vfs,
             storage_down: AtomicBool::new(false),
@@ -325,29 +463,27 @@ impl Service {
             net: NetStats::default(),
             opts,
         });
-        let mut adopt: Vec<String> = Vec::new();
-        for dirent in std::fs::read_dir(&jobs_root)? {
-            let dir = dirent?.path();
-            let Some(id) = dir.file_name().and_then(|n| n.to_str()).map(String::from) else {
-                continue;
-            };
-            match adopt_one(&shared, &dir, &id) {
-                Ok(Some(id)) => adopt.push(id),
-                Ok(None) => {}
-                Err(e) => eprintln!("noc-serve: skipping {id}: {e}"),
-            }
-        }
-        // Requeue outside the jobs lock, bound-exempt: these jobs were
-        // accepted in a previous life.
         {
-            let mut jobs = lock(&shared.jobs);
+            let mut reg = lock(&shared.jobs);
+            let mut adopt: Vec<String> = Vec::new();
+            for dirent in std::fs::read_dir(&jobs_root)? {
+                let dir = dirent?.path();
+                let Some(id) = dir.file_name().and_then(|n| n.to_str()).map(String::from) else {
+                    continue;
+                };
+                match adopt_one(&shared, &mut reg, &dir, &id) {
+                    Ok(Some(id)) => adopt.push(id),
+                    Ok(None) => {}
+                    Err(e) => eprintln!("noc-serve: skipping {id}: {e}"),
+                }
+            }
+            // Requeue bound-exempt: these jobs were accepted in a previous
+            // life.
             for id in adopt {
-                if let Some(e) = jobs.get_mut(&id) {
-                    // A job the last process died while RUNNING parks as
-                    // CHECKPOINTED; QUEUED/CHECKPOINTED jobs requeue as-is.
-                    if e.stage == Stage::Running {
-                        shared.transition(e, &id, Stage::Checkpointed, "adopted after crash");
-                    }
+                // A job the last process died while RUNNING parks as
+                // CHECKPOINTED; QUEUED/CHECKPOINTED jobs requeue as-is.
+                if reg.jobs.get(&id).is_some_and(|e| e.stage == Stage::Running) {
+                    shared.transition(&mut reg, &id, Stage::Checkpointed, "adopted after crash");
                 }
                 shared.queue.requeue(id);
             }
@@ -374,106 +510,165 @@ impl Service {
 
     /// Submits a job. Returns the status and whether it was newly created
     /// (`false` = content-address dedupe hit an existing job, in whatever
-    /// stage it is — including terminal).
+    /// stage it is — including terminal, including evicted).
+    ///
+    /// Admission is decided under the registry lock, but the durable
+    /// writes (four fsyncs) happen outside it, guarded by an *admitting*
+    /// placeholder: status polls, worker claims and `Done` transitions of
+    /// other jobs never queue behind a submission's disk I/O, while a
+    /// second submit (or a cancel) of the **same** id waits for the first
+    /// to settle — exactly one `202`, no journal clobbered.
     pub fn submit(&self, row: &BTreeMap<String, String>) -> Result<(JobStatus, bool), SubmitError> {
-        if self.shared.draining.load(Ordering::Relaxed) {
-            return Err(SubmitError::Draining);
-        }
-        if self.shared.is_degraded() {
-            return Err(SubmitError::StorageDegraded(
-                lock(&self.shared.storage_detail).clone(),
-            ));
-        }
+        let shared = &*self.shared;
         let spec = JobSpec::parse(row).map_err(SubmitError::Invalid)?;
         let id = spec.digest().map_err(SubmitError::Invalid)?;
-        let mut jobs = lock(&self.shared.jobs);
-        if let Some(e) = jobs.get(&id) {
-            // A dedupe hit is the idempotency escape channel at work: a
-            // retrying client resubmitted something already admitted.
-            self.shared.net.dedupe_hits.incr();
-            return Ok((self.shared.status_of(&id, e), false));
-        }
-        let dir = self.shared.job_dir(&id);
-        self.shared
-            .vfs
-            .create_dir_all(&dir.join("dumps"))
-            .map_err(|e| SubmitError::Invalid(format!("cannot create job dir: {e}")))?;
-        let progress = Arc::new(Progress::default());
-        progress
-            .total
-            .store(spec.to_job(&dir, 1).total_units(), Ordering::Relaxed);
-        let entry = Entry {
-            spec,
-            stage: Stage::Queued,
-            attempts: 0,
-            token: rayon::CancelToken::new(),
-            progress,
-            started: None,
-            user_cancelled: false,
-            parked_by_storage: false,
-            error: None,
-            summary: None,
-            quarantine: None,
+        let dir = shared.job_dir(&id);
+        let slot = {
+            let mut reg = shared.locked_with(&id);
+            if shared.draining.load(Ordering::Relaxed) {
+                return Err(SubmitError::Draining);
+            }
+            if shared.is_degraded() {
+                return Err(SubmitError::StorageDegraded(
+                    lock(&shared.storage_detail).clone(),
+                ));
+            }
+            if let Some(e) = reg.jobs.get(&id) {
+                // A dedupe hit is the idempotency escape channel at work: a
+                // retrying client resubmitted something already admitted.
+                shared.net.dedupe_hits.incr();
+                return Ok((shared.status_of(&id, e), false));
+            }
+            // Queue capacity is reserved before any byte is written: a
+            // shed submission leaves no directory behind.
+            let slot = shared.queue.reserve().map_err(SubmitError::Busy)?;
+            reg.admitting.insert(id.clone());
+            slot
         };
-        // Reserve the queue slot before anything becomes visible.
-        if let Err(full) = self.shared.queue.try_push(id.clone()) {
-            let _ = std::fs::remove_dir_all(&dir);
-            return Err(SubmitError::Busy(full));
-        }
-        // Both acceptance artifacts land atomically (temp + fsync +
-        // rename): a crash mid-submit leaves no half-written spec for the
-        // next boot to choke on. A write failure here IS a storage fault —
-        // undo, trip DEGRADED, and shed the submission. (The reserved
-        // queue slot drains harmlessly: the id has no registry entry.)
-        let spec_write = self
-            .shared
-            .vfs
-            .write_atomic(
-                &dir.join("spec.json"),
-                format!("{}\n", entry.spec.to_row()).as_bytes(),
-            )
-            .and_then(|()| {
-                // First journal line: the QUEUED acceptance record. Not a
-                // transition (there is no prior stage), so written whole.
-                let line = JsonObj::new()
-                    .str_field("stage", Stage::Queued.label())
-                    .u64_field("attempts", 0)
-                    .str_field("detail", "accepted")
-                    .finish();
-                self.shared.vfs.write_atomic(
-                    &dir.join("state.jsonl"),
-                    format!("{}\n", noc_store::seal_line(&line)).as_bytes(),
-                )
-            });
-        if let Err(e) = spec_write {
-            let _ = std::fs::remove_dir_all(&dir);
-            let why = format!("cannot persist submission {id}: {e}");
-            self.shared.mark_degraded(&why);
-            return Err(SubmitError::StorageDegraded(why));
-        }
-        let status = self.shared.status_of(&id, &entry);
-        jobs.insert(id, entry);
+        let admitted = match shared.write_acceptance(&dir, &id, &spec) {
+            Ok(()) => {
+                let progress = Arc::new(Progress::default());
+                progress
+                    .total
+                    .store(spec.to_job(&dir, 1).total_units(), Ordering::Relaxed);
+                Ok(Entry {
+                    spec,
+                    stage: Stage::Queued,
+                    attempts: 0,
+                    token: rayon::CancelToken::new(),
+                    progress,
+                    started: None,
+                    user_cancelled: false,
+                    parked_by_storage: false,
+                    error: None,
+                    summary: None,
+                    quarantine: None,
+                })
+            }
+            Err(e) => {
+                // Undo while the placeholder still keeps the id to
+                // ourselves.
+                let _ = std::fs::remove_dir_all(&dir);
+                Err(e)
+            }
+        };
+        // Settle or roll back. The id reaches the workers only now, with
+        // both artifacts durable and the entry resident; a rolled-back
+        // slot is released by its drop.
+        let mut reg = lock(&shared.jobs);
+        reg.admitting.remove(&id);
+        shared.changed.notify_all();
+        let entry = admitted?;
+        let status = shared.status_of(&id, &entry);
+        reg.insert(id.clone(), entry);
+        slot.publish(id);
         Ok((status, true))
     }
 
     /// Snapshot of one job.
     pub fn status(&self, id: &str) -> Option<JobStatus> {
-        let jobs = lock(&self.shared.jobs);
-        jobs.get(id).map(|e| self.shared.status_of(id, e))
+        let reg = self.shared.locked_with(id);
+        reg.jobs.get(id).map(|e| self.shared.status_of(id, e))
     }
 
-    /// Snapshot of every job, id-ordered.
+    /// [`Service::status`] as a long-poll: returns as soon as the job is
+    /// terminal, `stop` is set (the HTTP front end shutting down — it calls
+    /// [`Service::wake_waiters`] after setting it), the service drains, or
+    /// `patience` runs out — with the current row, whatever stage it shows.
+    pub fn status_when_terminal(
+        &self,
+        id: &str,
+        patience: Duration,
+        stop: &AtomicBool,
+    ) -> Option<JobStatus> {
+        let shared = &*self.shared;
+        let deadline = Instant::now() + patience;
+        let mut reg = lock(&shared.jobs);
+        loop {
+            reg = shared.resolve(reg, id);
+            let status = shared.status_of(id, reg.jobs.get(id)?);
+            let left = deadline.saturating_duration_since(Instant::now());
+            if status.stage.is_terminal()
+                || left.is_zero()
+                || stop.load(Ordering::SeqCst)
+                || shared.draining.load(Ordering::Relaxed)
+            {
+                return Some(status);
+            }
+            reg = shared
+                .changed
+                .wait_timeout(reg, left)
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .0;
+        }
+    }
+
+    /// Wakes every long-poll so it re-reads its stop flag. Taking the lock
+    /// first closes the window in which a waiter has read the flag but not
+    /// yet parked.
+    pub fn wake_waiters(&self) {
+        drop(lock(&self.shared.jobs));
+        self.shared.changed.notify_all();
+    }
+
+    /// Snapshot of every job, id-ordered: the resident ones, plus every
+    /// evicted one read back from its journals (without displacing the
+    /// resident window).
     pub fn list(&self) -> Vec<JobStatus> {
-        let jobs = lock(&self.shared.jobs);
-        jobs.iter()
-            .map(|(id, e)| self.shared.status_of(id, e))
-            .collect()
+        let shared = &*self.shared;
+        let mut rows: BTreeMap<String, JobStatus> = lock(&shared.jobs)
+            .jobs
+            .iter()
+            .map(|(id, e)| (id.clone(), shared.status_of(id, e)))
+            .collect();
+        let on_disk = std::fs::read_dir(shared.opts.data_dir.join("jobs"));
+        for dir in on_disk.into_iter().flatten().flatten().map(|d| d.path()) {
+            let Some(id) = dir.file_name().and_then(|n| n.to_str()) else {
+                continue;
+            };
+            if rows.contains_key(id) {
+                continue;
+            }
+            // Under the lock, like every other reader of a live journal.
+            let reg = lock(&shared.jobs);
+            let status = match reg.jobs.get(id) {
+                Some(e) => shared.status_of(id, e),
+                None if reg.admitting.contains(id) => continue,
+                None => match read_entry(shared, &dir, id) {
+                    Ok(e) => shared.status_of(id, &e),
+                    Err(_) => continue,
+                },
+            };
+            rows.insert(id.to_string(), status);
+        }
+        rows.into_values().collect()
     }
 
     /// The job's unit journal, for the rows endpoint.
     pub fn rows_path(&self, id: &str) -> Option<PathBuf> {
-        let jobs = lock(&self.shared.jobs);
-        jobs.contains_key(id)
+        let reg = self.shared.locked_with(id);
+        reg.jobs
+            .contains_key(id)
             .then(|| self.shared.job_dir(id).join("rows.ckpt.jsonl"))
     }
 
@@ -481,8 +676,8 @@ impl Service {
     /// boundary for running ones. `Err` carries the terminal stage when
     /// there is nothing left to cancel.
     pub fn cancel(&self, id: &str) -> Result<JobStatus, Option<Stage>> {
-        let mut jobs = lock(&self.shared.jobs);
-        let Some(e) = jobs.get_mut(id) else {
+        let mut reg = self.shared.locked_with(id);
+        let Some(e) = reg.jobs.get_mut(id) else {
             return Err(None);
         };
         if e.stage.is_terminal() {
@@ -491,11 +686,14 @@ impl Service {
         e.user_cancelled = true;
         e.token.cancel();
         if matches!(e.stage, Stage::Queued | Stage::Checkpointed) {
-            self.shared
-                .transition(e, id, Stage::Cancelled, "cancelled while parked");
             e.error = Some("cancelled by client".into());
+            self.shared
+                .transition(&mut reg, id, Stage::Cancelled, "cancelled while parked");
         }
-        Ok(self.shared.status_of(id, e))
+        reg.jobs
+            .get(id)
+            .map(|e| self.shared.status_of(id, e))
+            .ok_or(None)
     }
 
     /// True once [`Service::drain`] began.
@@ -534,13 +732,15 @@ impl Service {
         self.shared.draining.store(true, Ordering::Relaxed);
         self.shared.queue.close();
         {
-            let jobs = lock(&self.shared.jobs);
-            for e in jobs.values() {
+            let reg = lock(&self.shared.jobs);
+            for e in reg.jobs.values() {
                 if e.stage == Stage::Running {
                     e.token.cancel();
                 }
             }
         }
+        // Long-polls end with whatever row their job shows now.
+        self.shared.changed.notify_all();
         let handles: Vec<_> = std::mem::take(&mut *lock(&self.workers));
         for h in handles {
             let _ = h.join();
@@ -548,12 +748,31 @@ impl Service {
     }
 }
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Rebuilds one job's registry entry from its journals. Returns the id
-/// when the job must be requeued (non-terminal), `None` when it rests.
+fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    cv.wait(guard)
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Makes one job resident from its journals — at boot, and whenever a
+/// lookup misses an evicted job. Returns the id when the job must be
+/// requeued (non-terminal), `None` when it rests.
+fn adopt_one(
+    shared: &Shared,
+    reg: &mut Registry,
+    dir: &Path,
+    id: &str,
+) -> Result<Option<String>, String> {
+    let entry = read_entry(shared, dir, id)?;
+    let requeue = !entry.stage.is_terminal();
+    reg.insert(id.to_string(), entry);
+    Ok(requeue.then(|| id.to_string()))
+}
+
+/// Rebuilds one job's registry entry from its journals.
 ///
 /// Every `state.jsonl` line is verified against its CRC trailer first: a
 /// torn or bit-rotted record is dropped with exact accounting (surfaced as
@@ -561,7 +780,7 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// so repeated restarts do not re-count the same damage. Pre-CRC lines
 /// (journals written before checksummed framing) are accepted as legacy
 /// when they still parse.
-fn adopt_one(shared: &Arc<Shared>, dir: &Path, id: &str) -> Result<Option<String>, String> {
+fn read_entry(shared: &Shared, dir: &Path, id: &str) -> Result<Entry, String> {
     let spec_line = shared
         .vfs
         .read_to_string(&dir.join("spec.json"))
@@ -656,7 +875,7 @@ fn adopt_one(shared: &Arc<Shared>, dir: &Path, id: &str) -> Result<Option<String
         }
     }
     let quarantine = dir.join("quarantine.json");
-    let entry = Entry {
+    Ok(Entry {
         spec,
         stage,
         attempts,
@@ -668,10 +887,7 @@ fn adopt_one(shared: &Arc<Shared>, dir: &Path, id: &str) -> Result<Option<String
         error,
         summary,
         quarantine: quarantine.exists().then_some(quarantine),
-    };
-    let requeue = !stage.is_terminal();
-    lock(&shared.jobs).insert(id.to_string(), entry);
-    Ok(requeue.then(|| id.to_string()))
+    })
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
@@ -708,8 +924,9 @@ fn probe_storage(shared: &Arc<Shared>) {
     if shared.storage_down.swap(false, Ordering::SeqCst) {
         eprintln!("noc-serve: storage healed; leaving read-only mode");
         let resume: Vec<String> = {
-            let mut jobs = lock(&shared.jobs);
-            jobs.iter_mut()
+            let mut reg = lock(&shared.jobs);
+            reg.jobs
+                .iter_mut()
                 .filter(|(_, e)| e.parked_by_storage && e.stage == Stage::Checkpointed)
                 .map(|(id, e)| {
                     e.parked_by_storage = false;
@@ -728,8 +945,10 @@ fn run_one(shared: &Arc<Shared>, id: &str) {
     let dir = shared.job_dir(id);
     // Claim.
     let (spec, token, progress, attempt) = {
-        let mut jobs = lock(&shared.jobs);
-        let Some(e) = jobs.get_mut(id) else { return };
+        let mut reg = shared.locked_with(id);
+        let Some(e) = reg.jobs.get_mut(id) else {
+            return;
+        };
         if !matches!(e.stage, Stage::Queued | Stage::Checkpointed) {
             return; // cancelled (or settled) while queued
         }
@@ -739,22 +958,19 @@ fn run_one(shared: &Arc<Shared>, id: &str) {
         } else {
             "resume"
         };
-        shared.transition(
-            e,
-            id,
-            Stage::Running,
-            &format!("{verb} attempt {}", e.attempts),
-        );
         let started = *e.started.get_or_insert_with(Instant::now);
         if let Some(ms) = e.spec.deadline_ms {
             e.token.set_deadline(started + Duration::from_millis(ms));
         }
-        (
+        let claim = (
             e.spec.clone(),
             e.token.clone(),
             Arc::clone(&e.progress),
             e.attempts,
-        )
+        );
+        let detail = format!("{verb} attempt {}", claim.3);
+        shared.transition(&mut reg, id, Stage::Running, &detail);
+        claim
     };
     let dumps = dir.join("dumps");
     let _ = shared.vfs.create_dir_all(&dumps);
@@ -783,8 +999,10 @@ fn run_one(shared: &Arc<Shared>, id: &str) {
         })
     });
     // Settle.
-    let mut jobs = lock(&shared.jobs);
-    let Some(e) = jobs.get_mut(id) else { return };
+    let mut reg = lock(&shared.jobs);
+    let Some(e) = reg.jobs.get_mut(id) else {
+        return;
+    };
     match result {
         Ok(Ok(report)) => {
             e.progress
@@ -793,13 +1011,13 @@ fn run_one(shared: &Arc<Shared>, id: &str) {
             e.progress
                 .corrupt
                 .fetch_add(report.corrupt_lines, Ordering::Relaxed);
-            shared.transition(e, id, Stage::Done, &report.summary);
-            e.summary = Some(report.summary);
+            e.summary = Some(report.summary.clone());
+            shared.transition(&mut reg, id, Stage::Done, &report.summary);
         }
         Ok(Err(JobError::Failed(err))) => {
             // Deterministic job failure: retrying cannot help.
-            shared.transition(e, id, Stage::Failed, &err);
-            e.error = Some(err);
+            e.error = Some(err.clone());
+            shared.transition(&mut reg, id, Stage::Failed, &err);
         }
         Ok(Err(JobError::Interrupted(reason))) => {
             if reason == rayon::CancelReason::StorageDegraded {
@@ -807,29 +1025,30 @@ fn run_one(shared: &Arc<Shared>, id: &str) {
                 // every completed row intact (nothing is lost — the units
                 // that could not journal re-execute after the heal) and
                 // flip the service read-only. The probe write requeues it.
-                shared.transition(e, id, Stage::Checkpointed, "parked by storage fault");
                 e.parked_by_storage = true;
+                shared.transition(&mut reg, id, Stage::Checkpointed, "parked by storage fault");
                 shared.mark_degraded(&format!("job {id}: persistent journal write failure"));
             } else if reason == rayon::CancelReason::DeadlineExceeded {
                 let msg = format!("deadline exceeded ({} ms)", e.spec.deadline_ms.unwrap_or(0));
-                shared.transition(e, id, Stage::Failed, &msg);
-                e.error = Some(msg);
+                e.error = Some(msg.clone());
+                shared.transition(&mut reg, id, Stage::Failed, &msg);
             } else if e.user_cancelled {
-                shared.transition(e, id, Stage::Cancelled, "cancelled by client");
                 e.error = Some("cancelled by client".into());
+                shared.transition(&mut reg, id, Stage::Cancelled, "cancelled by client");
             } else {
                 // Drain: park with progress journaled; the next boot
                 // adopts and resumes.
-                shared.transition(e, id, Stage::Checkpointed, "parked by drain");
+                shared.transition(&mut reg, id, Stage::Checkpointed, "parked by drain");
             }
         }
         Err(panic_msg) => {
-            if e.attempts >= shared.opts.max_attempts {
+            let attempts = e.attempts;
+            if attempts >= shared.opts.max_attempts {
                 let quarantine = dir.join("quarantine.json");
                 let body = JsonObj::new()
                     .str_field("schema", "noc-serve-quarantine-v1")
                     .str_field("id", id)
-                    .u64_field("attempts", u64::from(e.attempts))
+                    .u64_field("attempts", u64::from(attempts))
                     .str_field("panic", &panic_msg)
                     .str_field("dumps", &dumps.display().to_string())
                     .finish();
@@ -837,20 +1056,19 @@ fn run_one(shared: &Arc<Shared>, id: &str) {
                 let _ = shared
                     .vfs
                     .write_atomic(&quarantine, format!("{body}\n").as_bytes());
-                let msg = format!("quarantined after {} attempts: {panic_msg}", e.attempts);
-                shared.transition(e, id, Stage::Checkpointed, "panicked");
-                shared.transition(e, id, Stage::Failed, &msg);
-                e.error = Some(msg);
+                let msg = format!("quarantined after {attempts} attempts: {panic_msg}");
+                e.error = Some(msg.clone());
                 e.quarantine = Some(quarantine);
+                shared.transition(&mut reg, id, Stage::Checkpointed, "panicked");
+                shared.transition(&mut reg, id, Stage::Failed, &msg);
             } else {
                 shared.transition(
-                    e,
+                    &mut reg,
                     id,
                     Stage::Checkpointed,
-                    &format!("panicked on attempt {}: {panic_msg}", e.attempts),
+                    &format!("panicked on attempt {attempts}: {panic_msg}"),
                 );
-                let attempts = e.attempts;
-                drop(jobs);
+                drop(reg);
                 backoff_then_requeue(shared, id, attempts);
             }
         }
@@ -867,8 +1085,12 @@ fn backoff_then_requeue(shared: &Arc<Shared>, id: &str, attempt: u32) {
             return; // stays CHECKPOINTED; adopted on restart
         }
         {
-            let jobs = lock(&shared.jobs);
-            if jobs.get(id).is_none_or(|e| e.stage != Stage::Checkpointed) {
+            let reg = lock(&shared.jobs);
+            if reg
+                .jobs
+                .get(id)
+                .is_none_or(|e| e.stage != Stage::Checkpointed)
+            {
                 return; // cancelled (or otherwise settled) while parked
             }
         }
@@ -876,8 +1098,86 @@ fn backoff_then_requeue(shared: &Arc<Shared>, id: &str, attempt: u32) {
         std::thread::sleep(Duration::from_millis(step));
         remaining -= step;
     }
-    let jobs = lock(&shared.jobs);
-    if jobs.get(id).is_some_and(|e| e.stage == Stage::Checkpointed) {
+    let reg = lock(&shared.jobs);
+    if reg
+        .jobs
+        .get(id)
+        .is_some_and(|e| e.stage == Stage::Checkpointed)
+    {
         shared.queue.requeue(id.to_string());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The registry is a bounded cache over `jobs/<id>/`: after more jobs
+    /// than the window holds, the oldest are gone from memory and every
+    /// lookup of one still answers — from disk, as after a restart.
+    #[test]
+    fn settled_jobs_are_evicted_and_still_answer_from_disk() {
+        const CAP: usize = 4;
+        let dir = std::env::temp_dir().join(format!("noc_serve_evict_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut opts = ServeOpts::new(&dir);
+        opts.workers = 1;
+        opts.batch_width = 1;
+        let service = Service::open_with_window(opts, noc_store::active(), CAP).unwrap();
+        let spec = |seed: usize| {
+            let line = format!(
+                r#"{{"kind": "sweep", "schemes": "SEEC", "transients": "0.0", "cycles": "500", "seed": "{seed}"}}"#
+            );
+            jsonio::parse_flat(&line).unwrap()
+        };
+        let never = AtomicBool::new(false);
+        let mut ids = Vec::new();
+        for seed in 0..CAP + 8 {
+            let (status, created) = service.submit(&spec(seed)).unwrap();
+            assert!(created);
+            let done = service
+                .status_when_terminal(&status.id, Duration::from_secs(60), &never)
+                .unwrap();
+            assert_eq!(done.stage, Stage::Done, "{:?}", done.error);
+            ids.push(status.id);
+        }
+        let resident = |id: &str| lock(&service.shared.jobs).jobs.contains_key(id);
+        {
+            let reg = lock(&service.shared.jobs);
+            assert_eq!(reg.jobs.len(), CAP, "only the window stays resident");
+            assert_eq!(reg.settled.len(), CAP);
+        }
+        let oldest = &ids[0];
+        assert!(!resident(oldest) && resident(&ids[CAP + 7]));
+
+        // list() is complete and displaces nothing.
+        assert_eq!(service.list().len(), CAP + 8);
+        assert!(!resident(oldest));
+
+        // Each lookup of the evicted job re-adopts it from its journals.
+        let status = service.status(oldest).expect("answers from disk");
+        assert_eq!(status.stage, Stage::Done);
+        assert!(status.summary.is_some());
+        assert!(
+            resident(oldest) && !resident(&ids[1]),
+            "oldest-settled goes first"
+        );
+        let rows = std::fs::read_to_string(service.rows_path(&ids[1]).unwrap()).unwrap();
+        assert_eq!(rows.lines().count(), 1);
+        let hits = service.net().dedupe_hits.get();
+        let (again, created) = service.submit(&spec(2)).unwrap();
+        assert!(!created, "an evicted job still dedupes");
+        assert_eq!(
+            (again.id.as_str(), again.stage),
+            (ids[2].as_str(), Stage::Done)
+        );
+        assert_eq!(service.net().dedupe_hits.get(), hits + 1);
+        assert_eq!(service.cancel(&ids[3]).unwrap_err(), Some(Stage::Done));
+        // Only a well-formed id reaches the filesystem.
+        assert!(service.status(&format!("../jobs/{}", ids[4])).is_none());
+        assert!(lock(&service.shared.jobs).jobs.len() <= CAP);
+        assert_eq!(service.list().len(), CAP + 8);
+        service.drain();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,17 +1,21 @@
 //! HTTP hardening tests: torn requests at every byte offset, slow-loris
 //! deadlines, header caps, connection shedding, and the healthz network
-//! counters. All over real loopback sockets against the in-process
-//! server; tears are produced the honest way — write a prefix, close the
-//! socket — so the server sees exactly what a dead client leaves behind.
+//! counters — plus the event-driven path: an idle server answers without
+//! a sleep, shutdown needs no client to notice it, `?wait_ms=` long-polls
+//! end at the lifecycle edge, and an unreadable rows journal is a `503`,
+//! not an empty `200`. All over real loopback sockets against the
+//! in-process server; tears are produced the honest way — write a prefix,
+//! close the socket — so the server sees exactly what a dead client
+//! leaves behind.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use noc_net::Transport;
+use noc_net::{FaultNet, NetFaultPlan, Transport};
 use noc_serve::{http, HttpOpts, ServeOpts, Service};
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -21,8 +25,8 @@ fn tmpdir(tag: &str) -> PathBuf {
     d
 }
 
-/// An in-process server on loopback. `workers: 0` — these tests exercise
-/// admission, not execution.
+/// An in-process server on loopback. `workers: 0` unless asked — most of
+/// these tests exercise admission, not execution.
 struct Harness {
     addr: String,
     service: Arc<Service>,
@@ -32,9 +36,13 @@ struct Harness {
 
 impl Harness {
     fn start(tag: &str, http_opts: HttpOpts) -> Harness {
+        Harness::start_with(tag, http_opts, 0, Transport::passthrough())
+    }
+
+    fn start_with(tag: &str, http_opts: HttpOpts, workers: usize, transport: Transport) -> Harness {
         let dir = tmpdir(tag);
         let mut opts = ServeOpts::new(&dir);
-        opts.workers = 0;
+        opts.workers = workers;
         opts.queue_cap = 4;
         let service = Arc::new(Service::open(opts).unwrap());
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -44,13 +52,7 @@ impl Harness {
             let service = Arc::clone(&service);
             let shutdown = Arc::clone(&shutdown);
             std::thread::spawn(move || {
-                http::serve_with(
-                    listener,
-                    &service,
-                    &shutdown,
-                    &http_opts,
-                    &Transport::passthrough(),
-                );
+                http::serve_with(listener, &service, &shutdown, &http_opts, &transport);
             })
         };
         Harness {
@@ -62,12 +64,22 @@ impl Harness {
     }
 }
 
-impl Drop for Harness {
-    fn drop(&mut self) {
+impl Harness {
+    /// Flips the shutdown flag and returns how long `serve_with` took to
+    /// notice and return.
+    fn stop(&mut self) -> Duration {
+        let t0 = Instant::now();
         self.shutdown.store(true, Ordering::Relaxed);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
+        t0.elapsed()
+    }
+}
+
+impl Drop for Harness {
+    fn drop(&mut self) {
+        self.stop();
         self.service.drain();
     }
 }
@@ -82,6 +94,21 @@ fn raw_roundtrip(addr: &str, bytes: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
     let _ = s.read_to_end(&mut out);
     out
+}
+
+/// The response body (everything after the header block).
+fn body_of(raw: &[u8]) -> String {
+    let text = String::from_utf8_lossy(raw);
+    text.split_once("\r\n\r\n")
+        .map_or(String::new(), |(_, b)| b.to_string())
+}
+
+/// Submits `SPEC` and returns the job id.
+fn submit_spec(addr: &str) -> String {
+    let raw = raw_roundtrip(addr, &full_request("POST", "/jobs", SPEC));
+    assert_eq!(status_code(&raw), Some(202));
+    let row = noc_experiments::jsonio::parse_flat(body_of(&raw).trim()).expect("status row");
+    row["id"].clone()
 }
 
 fn status_code(raw: &[u8]) -> Option<u16> {
@@ -243,4 +270,165 @@ fn resubmission_dedupes_and_counts_the_hit() {
         "{}",
         String::from_utf8_lossy(&raw)
     );
+}
+
+/// An idle server answers in the time the work takes: no accept-loop
+/// sleep sits in front of a request (the polling loop's floor was 20 ms).
+#[test]
+fn idle_server_answers_without_a_sleep() {
+    let h = Harness::start("idle", HttpOpts::default());
+    let mut ms: Vec<f64> = (0..20)
+        .map(|_| {
+            // The next connection arrives at a listener that has gone idle.
+            std::thread::sleep(Duration::from_millis(2));
+            let t0 = Instant::now();
+            let raw = raw_roundtrip(&h.addr, &full_request("GET", "/healthz", ""));
+            assert_eq!(status_code(&raw), Some(200));
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    assert!(ms[10] < 10.0, "median healthz round trip {:.2} ms", ms[10]);
+}
+
+/// The blocked accept loop notices the flag by itself — nobody has to
+/// connect — and a parked long-poll does not hold the exit for its
+/// patience: it is woken and answers with the row it has.
+#[test]
+fn shutdown_needs_no_client_and_wakes_long_polls() {
+    let mut h = Harness::start("stop_idle", HttpOpts::default());
+    std::thread::sleep(Duration::from_millis(50)); // parked in accept
+    let took = h.stop();
+    assert!(took < Duration::from_millis(250), "idle stop took {took:?}");
+
+    let mut h = Harness::start("stop_waiter", HttpOpts::default());
+    let id = submit_spec(&h.addr);
+    let waiter = {
+        let addr = h.addr.clone();
+        let path = format!("/jobs/{id}?wait_ms=20000");
+        std::thread::spawn(move || raw_roundtrip(&addr, &full_request("GET", &path, "")))
+    };
+    std::thread::sleep(Duration::from_millis(100)); // parked on the condvar
+    let took = h.stop();
+    assert!(took < Duration::from_millis(250), "stop took {took:?}");
+    let raw = waiter.join().unwrap();
+    assert_eq!(status_code(&raw), Some(200));
+    assert!(body_of(&raw).contains("\"stage\": \"queued\""));
+    // The wake-up connection is nobody's request.
+    assert_eq!(h.service.net().accepted.get(), 2, "submit + long-poll");
+}
+
+/// `?wait_ms=` holds the request until the lifecycle edge, not until the
+/// next poll: the row arrives within 50 ms of the job going DONE.
+#[test]
+fn long_poll_returns_at_the_done_edge() {
+    let h = Harness::start_with(
+        "wait_done",
+        HttpOpts::default(),
+        1,
+        Transport::passthrough(),
+    );
+    let id = submit_spec(&h.addr);
+    let waiter = {
+        let addr = h.addr.clone();
+        let path = format!("/jobs/{id}?wait_ms=20000");
+        std::thread::spawn(move || {
+            let raw = raw_roundtrip(&addr, &full_request("GET", &path, ""));
+            (raw, Instant::now())
+        })
+    };
+    // Observed at 1 ms granularity, so never earlier than the edge.
+    let seen_done = loop {
+        if h.service.status(&id).unwrap().stage.is_terminal() {
+            break Instant::now();
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    let (raw, answered) = waiter.join().unwrap();
+    assert_eq!(status_code(&raw), Some(200));
+    assert!(
+        body_of(&raw).contains("\"stage\": \"done\""),
+        "{}",
+        body_of(&raw)
+    );
+    let late = answered.saturating_duration_since(seen_done);
+    assert!(
+        late < Duration::from_millis(50),
+        "answered {late:?} after DONE"
+    );
+}
+
+/// At timeout the long-poll answers with the current, non-terminal row;
+/// a garbage `wait_ms` is no wait at all; and a parked request consumes
+/// no fault-plan op index — the plan counts operations, not time.
+#[test]
+fn long_poll_times_out_with_the_current_row_and_burns_no_ops() {
+    let net = FaultNet::new(NetFaultPlan::default());
+    let h = Harness::start_with(
+        "wait_timeout",
+        HttpOpts::default(),
+        0,
+        Transport::faulted(Arc::clone(&net)),
+    );
+    let id = submit_spec(&h.addr);
+
+    let t0 = Instant::now();
+    let raw = raw_roundtrip(
+        &h.addr,
+        &full_request("GET", &format!("/jobs/{id}?wait_ms=abc"), ""),
+    );
+    assert_eq!(status_code(&raw), Some(200));
+    assert!(t0.elapsed() < Duration::from_millis(150), "garbage waited");
+
+    let t0 = Instant::now();
+    let waiter = {
+        let addr = h.addr.clone();
+        let path = format!("/jobs/{id}?wait_ms=400");
+        std::thread::spawn(move || raw_roundtrip(&addr, &full_request("GET", &path, "")))
+    };
+    std::thread::sleep(Duration::from_millis(150)); // request read, now parked
+    let parked_at = net.ops();
+    std::thread::sleep(Duration::from_millis(150));
+    assert_eq!(net.ops(), parked_at, "a parked long-poll consumed plan ops");
+    let raw = waiter.join().unwrap();
+    assert!(t0.elapsed() >= Duration::from_millis(400), "answered early");
+    assert_eq!(status_code(&raw), Some(200));
+    assert!(body_of(&raw).contains("\"stage\": \"queued\""));
+    assert!(
+        net.ops() > parked_at,
+        "the answer is written through the plan"
+    );
+}
+
+/// A rows journal that cannot be read is `503` + `Retry-After`, never a
+/// `200` with an empty body that a client would verify as zero rows.
+#[test]
+fn unreadable_rows_journal_is_a_503_not_an_empty_200() {
+    let h = Harness::start_with("rows_err", HttpOpts::default(), 1, Transport::passthrough());
+    let id = submit_spec(&h.addr);
+    let wait = format!("/jobs/{id}?wait_ms=20000");
+    let raw = raw_roundtrip(&h.addr, &full_request("GET", &wait, ""));
+    assert!(
+        body_of(&raw).contains("\"stage\": \"done\""),
+        "{}",
+        body_of(&raw)
+    );
+    let rows_req = full_request("GET", &format!("/jobs/{id}/rows"), "");
+    let good = raw_roundtrip(&h.addr, &rows_req);
+    assert_eq!(status_code(&good), Some(200));
+    assert_eq!(body_of(&good).lines().count(), 1);
+
+    // Reading a directory fails with something other than NotFound.
+    let journal = h.service.rows_path(&id).unwrap();
+    let aside = journal.with_extension("aside");
+    std::fs::rename(&journal, &aside).unwrap();
+    std::fs::create_dir(&journal).unwrap();
+    let bad = raw_roundtrip(&h.addr, &rows_req);
+    let text = String::from_utf8_lossy(&bad);
+    assert_eq!(status_code(&bad), Some(503), "{text}");
+    assert!(text.contains("Retry-After"), "{text}");
+
+    std::fs::remove_dir(&journal).unwrap();
+    std::fs::rename(&aside, &journal).unwrap();
+    assert_eq!(raw_roundtrip(&h.addr, &rows_req), good);
 }

@@ -1,6 +1,7 @@
 //! Integration tests for the in-process service: deadline expiry,
 //! retry-then-quarantine, queue-full load shedding, cancellation (with no
-//! resurrection across restarts), content-address dedupe, and storage
+//! resurrection across restarts), content-address dedupe (racing
+//! submitters included), and storage
 //! faults (read-only DEGRADED mode, probe-write self-heal, journal repair
 //! on adoption). All deterministic — panics are injected via the spec's
 //! `fail_attempts` hook, overload via `workers: 0`, storage faults via a
@@ -8,7 +9,7 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use noc_experiments::jsonio;
@@ -412,6 +413,94 @@ fn chaos_job_completes_and_journals_cases() {
     assert_eq!(done.done, 2);
     let rows = std::fs::read_to_string(service.rows_path(&done.id).unwrap()).unwrap();
     assert_eq!(rows.lines().count(), 2);
+    service.drain();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Eight threads released together onto one spec: what each got back.
+fn submit_at_once(service: &Service) -> Vec<Result<(noc_serve::JobStatus, bool), SubmitError>> {
+    let gate = Barrier::new(8);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                scope.spawn(|| {
+                    gate.wait();
+                    service.submit(&row(ONE_POINT))
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
+}
+
+/// The durable writes happen outside the registry lock, so identical
+/// submissions genuinely race — and the admitting placeholder still makes
+/// exactly one of them the creator: one `created`, seven dedupes, one
+/// attempt, one journal whose first line is the acceptance record.
+#[test]
+fn racing_identical_submissions_admit_exactly_one() {
+    let dir = tmpdir("race");
+    let service = Service::open(opts(&dir)).unwrap();
+    let results = submit_at_once(&service);
+    let created = results
+        .iter()
+        .filter(|r| matches!(r, Ok((_, true))))
+        .count();
+    let deduped = results
+        .iter()
+        .filter(|r| matches!(r, Ok((_, false))))
+        .count();
+    assert_eq!((created, deduped), (1, 7), "{results:?}");
+    assert_eq!(service.net().dedupe_hits.get(), 7);
+    let id = results[0].as_ref().unwrap().0.id.clone();
+    let done = await_terminal(&service, &id);
+    assert_eq!(done.stage, Stage::Done, "{:?}", done.error);
+    assert_eq!(done.attempts, 1, "ran once");
+    assert_eq!(service.list().len(), 1);
+    let state = std::fs::read_to_string(dir.join("jobs").join(&id).join("state.jsonl")).unwrap();
+    let first = state.lines().next().unwrap();
+    assert!(first.contains(r#""detail": "accepted""#), "{state}");
+    assert_eq!(state.matches("accepted").count(), 1, "{state}");
+    service.drain();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The same race with the creator's second `write_atomic` failing: every
+/// caller is told `StorageDegraded` or is (after the rollback) cleanly
+/// admitted or deduped onto a job that exists — never handed a `200`/`202`
+/// for an id that then 404s.
+#[test]
+fn racing_submissions_over_a_failed_write_never_acknowledge_a_ghost() {
+    let dir = tmpdir("race_fault");
+    let mut o = opts(&dir);
+    o.workers = 0;
+    // Op 0 spec.json, op 1 the acceptance record.
+    let vfs = FaultVfs::new(FaultPlan::default().with_event(1, FaultKind::Eio));
+    let service = Service::open_with_vfs(o, Arc::new(vfs)).unwrap();
+    let results = submit_at_once(&service);
+    let degraded = results
+        .iter()
+        .filter(|r| matches!(r, Err(SubmitError::StorageDegraded(_))))
+        .count();
+    assert!(degraded >= 1, "the failed write must surface: {results:?}");
+    for r in &results {
+        match r {
+            Ok((status, _)) => {
+                assert!(
+                    service.status(&status.id).is_some(),
+                    "acknowledged a job that does not exist: {results:?}"
+                );
+            }
+            Err(SubmitError::StorageDegraded(_)) => {}
+            Err(other) => panic!("unexpected refusal {other:?}"),
+        }
+    }
+    let created = results
+        .iter()
+        .filter(|r| matches!(r, Ok((_, true))))
+        .count();
+    assert!(created <= 1, "{results:?}");
+    assert_eq!(service.list().len(), created);
     service.drain();
     let _ = std::fs::remove_dir_all(&dir);
 }
