@@ -9,5 +9,5 @@
 use noc_experiments::{cli, figs::fault_sweep};
 
 fn main() {
-    cli::sweep_main("fault_sweep", fault_sweep::run);
+    cli::sweep_main("fault_sweep", fault_sweep::points, fault_sweep::tables);
 }

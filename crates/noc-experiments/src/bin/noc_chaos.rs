@@ -7,16 +7,26 @@
 //! noc_chaos --replay FILE.json   # re-run a minimized repro byte-for-byte
 //! ```
 //!
-//! Exit status is 0 when every executed case passes its oracles (skipped
-//! cases — refused by the certification gate — do not fail the run), 1 when
-//! any failure was found or a replay did not reproduce. Failures leave a
-//! minimized `repro_<key>.json` and, for wedges, a `blackbox_<key>.json`
-//! next to the `chaos.jsonl` log in the output directory.
+//! The soak is the chaos job (`SimJob::Chaos`) under a `--budget`
+//! deadline: cases come from one seed, and each appends one row to
+//! `<out>/chaos.jsonl`, a checkpoint keyed by case. Re-running into the
+//! same `--out` resumes — recorded cases are skipped, never re-appended.
+//! `--quick` defaults the seed, the smoke pool and 8 cases; an explicit
+//! `--seed` or `--cases` still wins, and `--full` contradicts it (exit 2).
+//!
+//! The summary tallies every row of the log. Exit status is 0 when no row
+//! failed an oracle (skipped cases — refused by the certification gate or
+//! saturated — do not fail the run), 1 when any did or a replay did not
+//! reproduce, 2 on bad flags. Failures leave a minimized
+//! `repro_<key>.json` and, for wedges, a `blackbox_<key>.json` next to the
+//! log.
 
-use noc_experiments::chaos::{replay, run_soak, GenPool, SoakOpts};
-use noc_experiments::cli;
+use noc_experiments::chaos::{replay, GenPool};
+use noc_experiments::{cli, Checkpoint, JobCtx, JobError, SimJob};
+use rayon::{CancelReason, CancelToken};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Parses `300`, `300s`, or `5m` into a duration.
 fn parse_budget(s: &str) -> Result<Duration, String> {
@@ -32,10 +42,10 @@ fn parse_budget(s: &str) -> Result<Duration, String> {
 fn main() {
     let args = cli::args();
     let mut budget = Duration::from_secs(300);
-    let mut seed: u64 = 0x5EEC_C4A0;
+    let mut seed: Option<u64> = None;
     let mut max_cases: Option<usize> = None;
     let mut out_dir = PathBuf::from("target/chaos");
-    let mut pool = GenPool::Full;
+    let mut full = false;
     let mut replay_path: Option<PathBuf> = None;
     let mut quick = false;
 
@@ -57,10 +67,10 @@ fn main() {
                     std::process::exit(2);
                 }
             },
-            "--seed" => seed = parse_or_die(&val("--seed"), "--seed"),
+            "--seed" => seed = Some(parse_or_die(&val("--seed"), "--seed")),
             "--cases" => max_cases = Some(parse_or_die(&val("--cases"), "--cases")),
             "--out" => out_dir = PathBuf::from(val("--out")),
-            "--full" => pool = GenPool::Full,
+            "--full" => full = true,
             "--quick" => quick = true,
             "--replay" => replay_path = Some(PathBuf::from(val("--replay"))),
             "--help" | "-h" => {
@@ -77,6 +87,11 @@ fn main() {
         }
     }
 
+    if quick && full {
+        eprintln!("--quick runs the smoke pool; it cannot be combined with --full");
+        std::process::exit(2);
+    }
+
     if let Some(path) = replay_path {
         match replay(&path, &out_dir) {
             Ok(msg) => println!("replay {}: {msg}", path.display()),
@@ -88,41 +103,60 @@ fn main() {
         return;
     }
 
-    if quick {
-        // Deterministic smoke set: fixed seed, mechanism-free pool, small
-        // case count. Running this twice must produce identical logs.
-        seed = 0x5EEC_0001;
-        pool = GenPool::Smoke;
-        max_cases = max_cases.or(Some(8));
-    }
-
-    let opts = SoakOpts {
+    // `--quick` is the deterministic smoke set: fixed seed, mechanism-free
+    // pool, 8 cases. Running it twice must produce identical logs.
+    let seed = seed.unwrap_or(if quick { 0x5EEC_0001 } else { 0x5EEC_C4A0 });
+    let pool = if quick { GenPool::Smoke } else { GenPool::Full };
+    let log = out_dir.join("chaos.jsonl");
+    let job = SimJob::Chaos {
         seed,
-        budget,
-        max_cases,
-        out_dir,
+        cases: max_cases.or(quick.then_some(8)).unwrap_or(usize::MAX),
         pool,
+        log: log.clone(),
     };
-    let summary = match run_soak(&opts) {
-        Ok(s) => s,
+    let token = CancelToken::new();
+    if let Some(at) = Instant::now().checked_add(budget) {
+        token.set_deadline(at);
+    }
+    let ctx = JobCtx {
+        cancel: &token,
+        progress: None,
+        dump_dir: &out_dir,
+        vfs: None,
+    };
+    match job.run(&ctx) {
+        // The budget running out is how a time-boxed soak ends.
+        Ok(_) | Err(JobError::Interrupted(CancelReason::DeadlineExceeded)) => {}
         Err(e) => {
             eprintln!("soak failed: {e}");
             std::process::exit(1);
         }
-    };
-    println!(
-        "noc-chaos: {} cases — {} passed, {} skipped, {} failed (seed {:#x}, log {})",
-        summary.cases,
-        summary.passed,
-        summary.skipped,
-        summary.failed,
-        opts.seed,
-        opts.out_dir.join("chaos.jsonl").display(),
-    );
-    for r in &summary.repros {
-        println!("  minimized repro: {}", r.display());
     }
-    if summary.failed > 0 {
+
+    let rows = match Checkpoint::open(&log) {
+        Ok(ckpt) => ckpt.rows(),
+        Err(e) => {
+            eprintln!("cannot read {}: {e}", log.display());
+            std::process::exit(1);
+        }
+    };
+    let count = |status: &str| {
+        let is = |r: &&BTreeMap<String, String>| r.get("status").is_some_and(|s| s == status);
+        rows.iter().filter(is).count()
+    };
+    let passed = count("pass");
+    let skipped = count("skipped") + count("saturated");
+    let failed = rows.len() - passed - skipped;
+    println!(
+        "noc-chaos: {} cases — {passed} passed, {skipped} skipped, {failed} failed \
+         (seed {seed:#x}, log {})",
+        rows.len(),
+        log.display(),
+    );
+    for repro in rows.iter().filter_map(|r| r.get("repro")) {
+        println!("  minimized repro: {repro}");
+    }
+    if failed > 0 {
         std::process::exit(1);
     }
 }

@@ -13,5 +13,9 @@
 use noc_experiments::{cli, figs::recovery_sweep};
 
 fn main() {
-    cli::sweep_main("recovery_sweep", recovery_sweep::run);
+    cli::sweep_main(
+        "recovery_sweep",
+        recovery_sweep::points,
+        recovery_sweep::tables,
+    );
 }

@@ -1,4 +1,4 @@
-//! `noc-chaos`: seeded chaos soak harness with differential oracles and
+//! `noc-chaos`: seeded chaos cases with differential oracles and
 //! delta-debugging minimization.
 //!
 //! The engine (PRs 3–5) can kill and heal links mid-run; this module
@@ -24,9 +24,15 @@
 //! *same* oracle — and written as a one-line replayable JSON repro next to
 //! its black-box dump. [`replay`] re-runs a repro and compares the failure
 //! signature byte-for-byte.
+//!
+//! There is one case loop, and it is not here: the soak (`noc_chaos`) is
+//! [`crate::job::SimJob::Chaos`] under a deadline, journaling to a
+//! [`Checkpoint`] (resume by key, torn-line repair, quarantine) through
+//! the one per-case step in this module, `record_case`.
 
 use crate::jsonio::{self, JsonObj};
 use crate::runner::Scheme;
+use crate::sweep::{run_key, Checkpoint};
 use noc_sim::stats::DeliveredPacket;
 use noc_sim::workload::Workload;
 use noc_sim::{watchdog, Sim, Stats};
@@ -42,7 +48,6 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
-use std::time::{Duration, Instant};
 
 /// Cycles between watchdog samples while a case runs (same cadence as the
 /// fault sweep).
@@ -86,19 +91,18 @@ impl ChaosCase {
         cfg
     }
 
-    /// Stable case key: FNV-1a over every knob, via the config digest (which
-    /// folds in the schedule and recovery canonicals).
+    /// Stable case key, the same content address a sweep point gets (see
+    /// [`run_key`]); the config digest folds in the schedule and recovery
+    /// canonicals.
     pub fn key(&self) -> String {
-        let s = format!(
-            "{}|{}|{:016x}|{}|{}|{:016x}",
-            self.scheme.label(),
-            self.pattern.label(),
-            self.rate.to_bits(),
+        run_key(
+            self.scheme,
+            self.pattern,
+            self.rate,
             self.cycles,
             self.seed,
-            self.config().digest(),
-        );
-        format!("{:016x}", fnv1a(s.as_bytes()))
+            &self.config(),
+        )
     }
 
     /// Appends the case's own fields to a row builder (shared by log rows
@@ -125,114 +129,22 @@ impl ChaosCase {
         let int = |k: &str| -> Result<u64, String> {
             get(k)?.parse().map_err(|e| format!("field '{k}': {e}"))
         };
+        let scheme = get("scheme")?;
         Ok(ChaosCase {
-            scheme: scheme_from_label(get("scheme")?)?,
+            scheme: Scheme::from_label(scheme)
+                .ok_or_else(|| format!("unknown scheme label '{scheme}'"))?,
             k: u8::try_from(int("k")?).map_err(|e| format!("field 'k': {e}"))?,
             vcs: u8::try_from(int("vcs")?).map_err(|e| format!("field 'vcs': {e}"))?,
-            pattern: pattern_from_label(get("pattern")?)?,
+            pattern: TrafficPattern::from_label(get("pattern")?)?,
             rate: get("rate")?
                 .parse()
                 .map_err(|e| format!("field 'rate': {e}"))?,
             cycles: int("cycles")?,
             seed: int("seed")?,
-            schedule: parse_events(get("events")?)?,
-            recovery: parse_recovery(get("recovery")?)?,
+            schedule: FaultSchedule::from_canonical(get("events")?)?,
+            recovery: RecoveryConfig::from_canonical(get("recovery")?)?,
         })
     }
-}
-
-/// Inverse of [`Scheme::label`] for the labels the generator and the
-/// acceptance cases use.
-fn scheme_from_label(label: &str) -> Result<Scheme, String> {
-    Ok(match label {
-        "XY" => Scheme::Xy,
-        "WF" => Scheme::WestFirst,
-        "ADAPT" => Scheme::Adaptive,
-        "TFC" => Scheme::Tfc,
-        "EscVC" => Scheme::escape(),
-        "SPIN" => Scheme::Spin,
-        "SWAP" => Scheme::Swap,
-        "DRAIN" => Scheme::Drain,
-        "SEEC" => Scheme::seec(),
-        "mSEEC" => Scheme::mseec(),
-        "SEEC-XY" => Scheme::Seec {
-            routing: BaseRouting::Xy,
-        },
-        other => return Err(format!("unknown scheme label '{other}'")),
-    })
-}
-
-/// Inverse of [`TrafficPattern::label`].
-fn pattern_from_label(label: &str) -> Result<TrafficPattern, String> {
-    Ok(match label {
-        "uniform_random" => TrafficPattern::UniformRandom,
-        "transpose" => TrafficPattern::Transpose,
-        "bit_rotation" => TrafficPattern::BitRotation,
-        "shuffle" => TrafficPattern::Shuffle,
-        "bit_complement" => TrafficPattern::BitComplement,
-        "tornado" => TrafficPattern::Tornado,
-        "neighbor" => TrafficPattern::Neighbor,
-        "hotspot" => TrafficPattern::Hotspot,
-        other => return Err(format!("unknown pattern label '{other}'")),
-    })
-}
-
-/// Inverse of [`RecoveryConfig::canonical`] (`re=..;st=..;et=..;er=..`).
-fn parse_recovery(canon: &str) -> Result<RecoveryConfig, String> {
-    let mut rc = RecoveryConfig::default();
-    for part in canon.split(';').filter(|p| !p.is_empty()) {
-        let (key, val) = part
-            .split_once('=')
-            .ok_or_else(|| format!("bad recovery field '{part}'"))?;
-        let n: u64 = val
-            .parse()
-            .map_err(|e| format!("recovery field '{part}': {e}"))?;
-        match key {
-            "re" => rc.enabled = n != 0,
-            "st" => rc.stuck_threshold = n,
-            "et" => rc.e2e_timeout = n,
-            "er" => {
-                rc.e2e_max_retries =
-                    u32::try_from(n).map_err(|e| format!("recovery field '{part}': {e}"))?;
-            }
-            other => return Err(format!("unknown recovery field '{other}'")),
-        }
-    }
-    Ok(rc)
-}
-
-/// Inverse of [`FaultSchedule::canonical`] (`at:code:node[:dir],` repeated).
-fn parse_events(canon: &str) -> Result<FaultSchedule, String> {
-    let mut events = Vec::new();
-    for tok in canon.split(',').filter(|t| !t.is_empty()) {
-        let parts: Vec<&str> = tok.split(':').collect();
-        let err = |what: &str| format!("bad schedule event '{tok}': {what}");
-        if parts.len() < 3 {
-            return Err(err("too few fields"));
-        }
-        let at: Cycle = parts[0].parse().map_err(|_| err("bad cycle"))?;
-        let node = NodeId(parts[2].parse().map_err(|_| err("bad node"))?);
-        let dir = || -> Result<Direction, String> {
-            let idx: usize = parts
-                .get(3)
-                .ok_or_else(|| err("missing direction"))?
-                .parse()
-                .map_err(|_| err("bad direction"))?;
-            if idx >= 4 {
-                return Err(err("direction out of range"));
-            }
-            Ok(Direction::from_index(idx))
-        };
-        let action = match parts[1] {
-            "kl" => FaultAction::KillLink(node, dir()?),
-            "hl" => FaultAction::HealLink(node, dir()?),
-            "kr" => FaultAction::KillRouter(node),
-            "hr" => FaultAction::HealRouter(node),
-            other => return Err(err(&format!("unknown action '{other}'"))),
-        };
-        events.push(FaultEvent { at, action });
-    }
-    Ok(FaultSchedule::new(events))
 }
 
 // ---------------------------------------------------------------------------
@@ -1110,114 +1022,68 @@ fn kind_from_label(label: &str) -> Result<FailureKind, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Soak loop
+// One journaled case
 // ---------------------------------------------------------------------------
 
-/// Options for one [`run_soak`] invocation.
-#[derive(Clone, Debug)]
-pub struct SoakOpts {
-    pub seed: u64,
-    /// Wall-clock box; the loop never starts a new case past it.
-    pub budget: Duration,
-    /// Optional hard cap on generated cases (the smoke mode's knob).
-    pub max_cases: Option<usize>,
-    pub out_dir: PathBuf,
-    pub pool: GenPool,
-}
-
-/// Summary of a soak run.
-#[derive(Clone, Debug, Default)]
-pub struct SoakSummary {
-    pub cases: usize,
-    pub passed: usize,
-    pub skipped: usize,
-    pub failed: usize,
-    /// Minimized repro files written this run.
-    pub repros: Vec<PathBuf>,
-}
-
-/// Runs the time-boxed chaos soak: generate → gate → execute → on failure,
-/// minimize and write a replayable repro next to its black-box dump. Every
-/// case appends one flat row to `out_dir/chaos.jsonl`.
-pub fn run_soak(opts: &SoakOpts) -> std::io::Result<SoakSummary> {
-    let vfs = noc_store::active();
-    vfs.create_dir_all(&opts.out_dir)?;
-    let log_path = opts.out_dir.join("chaos.jsonl");
-    let mut log = vfs.open_append(&log_path)?;
-    let mut gen = CaseGen::new(opts.seed, opts.pool);
-    let mut summary = SoakSummary::default();
-    let start = Instant::now();
-
-    while start.elapsed() < opts.budget {
-        if let Some(cap) = opts.max_cases {
-            if summary.cases >= cap {
-                break;
-            }
-        }
-        summary.cases += 1;
-        let case = gen.next_case();
-        let base = case.fields(JsonObj::new());
-        let row = if let Err(reason) = precheck(&case) {
-            summary.skipped += 1;
+/// The chaos loop's per-case step: executes one case and journals its one
+/// row. `gate` is the case's [`precheck`] verdict (a refusal becomes a
+/// `skipped` row); otherwise [`run_case`], and a failure is [`minimize`]d,
+/// the minimized case re-run to record *its* exact failure (details shift
+/// as a case shrinks), and written atomically as
+/// `dump_dir/repro_<key>.json` before the row that names it.
+///
+/// Returns whether the case failed an oracle once its row is durably in
+/// `ckpt`; `None` when the repro or the row did not persist — no row then
+/// points at a missing file, and the case re-executes on resume.
+pub(crate) fn record_case(
+    case: &ChaosCase,
+    gate: Result<(), String>,
+    ckpt: &Checkpoint,
+    dump_dir: &Path,
+) -> Option<bool> {
+    let base = case.fields(JsonObj::new());
+    let (row, failed) = match gate.map(|()| run_case(case, dump_dir)) {
+        Err(reason) => (
             base.str_field("status", "skipped")
-                .str_field("reason", &reason)
-                .finish()
-        } else {
-            match run_case(&case, &opts.out_dir) {
-                CaseOutcome::Pass(rep) => {
-                    summary.passed += 1;
-                    base.str_field("status", "pass")
-                        .u64_field("delivered", rep.delivered)
-                        .u64_field("purged_flits", rep.purged_flits)
-                        .str_field("recert", &rep.recert.join(">"))
-                        .str_field("digest", &format!("{:016x}", rep.digest))
-                        .finish()
-                }
-                CaseOutcome::Saturated(why) => {
-                    summary.skipped += 1;
-                    base.str_field("status", "saturated")
-                        .str_field("reason", &why)
-                        .finish()
-                }
-                CaseOutcome::Fail(first) => {
-                    summary.failed += 1;
-                    let small = minimize(&case, first.kind, &opts.out_dir, 40);
-                    // Re-run the minimized case to record *its* exact failure
-                    // (details shift as the case shrinks).
-                    let final_fail = match run_case(&small, &opts.out_dir) {
-                        CaseOutcome::Fail(f) => f,
-                        // Flaky shrink (should not happen: minimize only
-                        // accepts reproducing candidates) — keep the original.
-                        CaseOutcome::Pass(_) | CaseOutcome::Saturated(_) => first.clone(),
-                    };
-                    let repro = opts.out_dir.join(format!("repro_{}.json", small.key()));
-                    vfs.write_atomic(&repro, (repro_line(&small, &final_fail) + "\n").as_bytes())?;
-                    summary.repros.push(repro.clone());
-                    let mut r = base
-                        .str_field("status", final_fail.kind.label())
-                        .str_field("reason", &final_fail.detail)
-                        .str_field("repro", &repro.display().to_string())
-                        .u64_field("minimized_events", small.schedule.len() as u64);
-                    if let Some(bb) = &final_fail.blackbox {
-                        r = r.str_field("blackbox", &bb.display().to_string());
-                    }
-                    r.finish()
-                }
-            }
-        };
-        // Sealed row + bounded retry with newline resync, same protocol as
-        // the checkpoint journal (see `sweep::Checkpoint::record`).
-        let sealed = noc_store::seal_line(&row);
-        noc_store::RetryPolicy::default().run(|attempt| {
-            let data = if attempt == 1 {
-                format!("{sealed}\n")
-            } else {
-                format!("\n{sealed}\n")
+                .str_field("reason", &reason),
+            false,
+        ),
+        Ok(CaseOutcome::Pass(rep)) => (
+            base.str_field("status", "pass")
+                .u64_field("delivered", rep.delivered)
+                .u64_field("purged_flits", rep.purged_flits)
+                .str_field("recert", &rep.recert.join(">"))
+                .str_field("digest", &format!("{:016x}", rep.digest)),
+            false,
+        ),
+        Ok(CaseOutcome::Saturated(why)) => (
+            base.str_field("status", "saturated")
+                .str_field("reason", &why),
+            false,
+        ),
+        Ok(CaseOutcome::Fail(first)) => {
+            let small = minimize(case, first.kind, dump_dir, 40);
+            let last = match run_case(&small, dump_dir) {
+                CaseOutcome::Fail(f) => f,
+                // Flaky shrink (should not happen: minimize only accepts
+                // reproducing candidates) — keep the original failure.
+                CaseOutcome::Pass(_) | CaseOutcome::Saturated(_) => first,
             };
-            log.append(data.as_bytes())
-        })?;
-    }
-    Ok(summary)
+            let repro = dump_dir.join(format!("repro_{}.json", small.key()));
+            let line = repro_line(&small, &last) + "\n";
+            ckpt.vfs().write_atomic(&repro, line.as_bytes()).ok()?;
+            let mut r = base
+                .str_field("status", last.kind.label())
+                .str_field("reason", &last.detail)
+                .str_field("repro", &repro.display().to_string())
+                .u64_field("minimized_events", small.schedule.len() as u64);
+            if let Some(bb) = &last.blackbox {
+                r = r.str_field("blackbox", &bb.display().to_string());
+            }
+            (r, true)
+        }
+    };
+    ckpt.record(&row.finish()).then_some(failed)
 }
 
 // ---------------------------------------------------------------------------
@@ -1339,6 +1205,30 @@ mod tests {
     }
 
     #[test]
+    fn unknown_labels_are_named_in_from_row_errors() {
+        let line = escape_flap_case().fields(JsonObj::new()).finish();
+        let row = jsonio::parse_flat(&line).unwrap();
+        for (field, value, want) in [
+            (
+                "scheme",
+                "EscVC-bogus",
+                "unknown scheme label 'EscVC-bogus'",
+            ),
+            ("pattern", "spiral", "unknown pattern label 'spiral'"),
+            (
+                "events",
+                "1:kl",
+                "bad schedule event '1:kl': too few fields",
+            ),
+            ("recovery", "re", "bad recovery field 're'"),
+        ] {
+            let mut bad = row.clone();
+            bad.insert(field.into(), value.into());
+            assert_eq!(ChaosCase::from_row(&bad).unwrap_err(), want, "{field}");
+        }
+    }
+
+    #[test]
     fn wedged_adaptive_minimizes_to_two_events_and_replays_byte_identically() {
         let dir = tmpdir("wedge");
         let case = wedged_adaptive_case();
@@ -1346,30 +1236,27 @@ mod tests {
             precheck(&case).is_err(),
             "the wedge case must be exactly what the gate refuses"
         );
-        let first = match run_case(&case, &dir) {
-            CaseOutcome::Fail(f) => f,
-            _ => panic!("acceptance wedge case did not wedge"),
-        };
-        assert_eq!(first.kind, FailureKind::Wedged);
+        // Forced past the gate: the loop's failure branch, end to end.
+        let ckpt = Checkpoint::open(&dir.join("chaos.jsonl")).unwrap();
+        assert_eq!(record_case(&case, Ok(()), &ckpt, &dir), Some(true));
+        let rows = ckpt.rows();
+        assert_eq!(rows.len(), 1);
+        let row = &rows[0];
+        assert_eq!(row["key"], case.key());
+        assert_eq!(row["status"], "wedged");
         assert!(
-            first.blackbox.as_ref().is_some_and(|p| p.is_file()),
-            "wedge must leave a black-box dump"
+            row.get("blackbox").is_some_and(|p| Path::new(p).is_file()),
+            "wedge must leave a black-box dump: {row:?}"
         );
+        let events: usize = row["minimized_events"].parse().unwrap();
+        assert!(events <= 2, "minimizer left {events} schedule events");
 
-        let small = minimize(&case, FailureKind::Wedged, &dir, 40);
-        assert!(
-            small.schedule.len() <= 2,
-            "minimizer left {} schedule events",
-            small.schedule.len()
-        );
+        let repro = PathBuf::from(&row["repro"]);
+        let text = std::fs::read_to_string(&repro).expect("repro file exists");
+        let small = ChaosCase::from_row(&jsonio::parse_flat(text.trim_end()).unwrap()).unwrap();
+        assert_eq!(repro, dir.join(format!("repro_{}.json", small.key())));
+        assert_eq!(small.schedule.len(), events);
         assert!(small.cycles <= case.cycles);
-
-        let final_fail = match run_case(&small, &dir) {
-            CaseOutcome::Fail(f) => f,
-            _ => panic!("minimized case stopped failing"),
-        };
-        let repro = dir.join(format!("repro_{}.json", small.key()));
-        std::fs::write(&repro, repro_line(&small, &final_fail) + "\n").unwrap();
         let verdict = replay(&repro, &dir).expect("repro must replay byte-identically");
         assert!(verdict.contains("byte-identically"), "{verdict}");
 
@@ -1386,18 +1273,45 @@ mod tests {
     }
 
     #[test]
+    fn a_repro_that_fails_to_write_leaves_no_row() {
+        let dir = tmpdir("repro_eio");
+        // The repro's atomic write is the journal Vfs's first counted op.
+        let vfs: std::sync::Arc<dyn noc_store::Vfs> =
+            std::sync::Arc::new(noc_store::FaultVfs::new(
+                noc_store::FaultPlan::default().with_event(0, noc_store::FaultKind::Eio),
+            ));
+        let ckpt = Checkpoint::open_with_vfs(&dir.join("chaos.jsonl"), vfs).unwrap();
+        let case = wedged_adaptive_case();
+        assert_eq!(record_case(&case, Ok(()), &ckpt, &dir), None);
+        assert!(ckpt.rows().is_empty(), "no row may name a missing repro");
+        assert!(!std::fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .any(|e| e.file_name().to_string_lossy().starts_with("repro_")));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn smoke_soak_is_green_and_logged() {
         let dir = tmpdir("soak");
-        let opts = SoakOpts {
+        let job = crate::job::SimJob::Chaos {
             seed: 0xC4A05,
-            budget: Duration::from_secs(600),
-            max_cases: Some(3),
-            out_dir: dir.clone(),
+            cases: 3,
             pool: GenPool::Smoke,
+            log: dir.join("chaos.jsonl"),
         };
-        let summary = run_soak(&opts).unwrap();
-        assert_eq!(summary.cases, 3);
-        assert_eq!(summary.failed, 0, "smoke pool must stay green: {summary:?}");
+        let token = rayon::CancelToken::new();
+        token.set_deadline(std::time::Instant::now() + std::time::Duration::from_secs(600));
+        let report = job
+            .run(&crate::job::JobCtx {
+                cancel: &token,
+                progress: None,
+                dump_dir: &dir,
+                vfs: None,
+            })
+            .unwrap();
+        assert_eq!(report.done, 3);
+        assert_eq!(report.failed, 0, "smoke pool must stay green: {report:?}");
         let rows: Vec<_> = std::fs::read_to_string(dir.join("chaos.jsonl"))
             .unwrap()
             .lines()

@@ -4,7 +4,7 @@ use std::path::{Path, PathBuf};
 use std::process::exit;
 
 use crate::site_sweep::SiteSweepReport;
-use crate::sweep::{Checkpoint, SweepOutcome};
+use crate::sweep::{run_sweep_keyed, Checkpoint, FaultPoint, RowsByKey};
 use crate::table::FigTable;
 
 /// Reads the process arguments (program name dropped), applies the
@@ -102,7 +102,7 @@ pub fn validate_env() -> EnvKnobs {
 }
 
 /// The body of the `fault_sweep` / `recovery_sweep` binaries, which differ
-/// only in the sweep they run:
+/// only in their `points` and the `tables` they render from the rows:
 ///
 /// ```text
 /// <name> [--quick] [--ckpt <path>] [--max-points <N>] [--threads <N>]
@@ -115,7 +115,8 @@ pub fn validate_env() -> EnvKnobs {
 /// interrupted sweep, then resumes and diffs against an uninterrupted run.
 pub fn sweep_main(
     name: &str,
-    run: impl FnOnce(bool, &Checkpoint, Option<usize>) -> (Vec<FigTable>, SweepOutcome),
+    points: fn(bool) -> Vec<FaultPoint>,
+    tables: fn(&[FaultPoint], &RowsByKey) -> Vec<FigTable>,
 ) {
     let mut quick = false;
     let mut ckpt_path: Option<PathBuf> = None;
@@ -162,8 +163,9 @@ pub fn sweep_main(
             exit(1);
         }
     };
-    let (tables, outcome) = run(quick, &ckpt, max_points);
-    for t in &tables {
+    let pts = points(quick);
+    let (rows, outcome) = run_sweep_keyed(&pts, &ckpt, max_points);
+    for t in &tables(&pts, &rows) {
         println!("{t}");
         if let Ok(csv) = t.save_csv("results/csv") {
             println!("wrote {csv}");

@@ -12,12 +12,10 @@
 //! reproducible run-to-run.
 
 use crate::runner::Scheme;
-use crate::sweep::{run_sweep, Checkpoint, FaultPoint, SweepOutcome};
+use crate::sweep::{cell, reason_cell, FaultPoint, RowsByKey};
 use crate::table::FigTable;
 use noc_traffic::TrafficPattern;
 use noc_types::{FaultConfig, RecoveryConfig};
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
 
 /// Line-up for the transient-fault curves: SEEC/mSEEC against one
 /// proactive (TFC), one reactive (SPIN) and the Duato (escape-VC) baseline.
@@ -78,19 +76,10 @@ pub fn points(quick: bool) -> Vec<FaultPoint> {
     out
 }
 
-fn cell(row: Option<&BTreeMap<String, String>>, field: &str) -> String {
-    row.and_then(|r| r.get(field))
-        .cloned()
-        .unwrap_or_else(|| "-".into())
-}
-
 /// Builds the two result tables from checkpoint rows, in the deterministic
 /// order of [`points`]. Points missing from the checkpoint (e.g. deferred
 /// by `--max-points`) render as `-` cells.
-pub fn tables(
-    pts: &[FaultPoint],
-    rows: &BTreeMap<String, BTreeMap<String, String>>,
-) -> Vec<FigTable> {
+pub fn tables(pts: &[FaultPoint], rows: &RowsByKey) -> Vec<FigTable> {
     let mut transient = FigTable::new(
         "Fault sweep — transient fault rate vs latency/throughput (uniform random, 0.05 inj)",
         &[
@@ -134,48 +123,19 @@ pub fn tables(
                 cell(row, "corrupted_flits"),
                 cell(row, "retransmitted_flits"),
             ]),
-            "dead-links" => {
-                let mut reason = cell(row, "reason");
-                if reason.len() > 48 {
-                    reason.truncate(48);
-                    reason.push('…');
-                }
-                dead.push_row(vec![
-                    p.scheme.label(),
-                    p.fault.random_dead_links.to_string(),
-                    cell(row, "status"),
-                    cell(row, "avg_latency"),
-                    cell(row, "throughput"),
-                    cell(row, "recovery_events"),
-                    reason,
-                ]);
-            }
+            "dead-links" => dead.push_row(vec![
+                p.scheme.label(),
+                p.fault.random_dead_links.to_string(),
+                cell(row, "status"),
+                cell(row, "avg_latency"),
+                cell(row, "throughput"),
+                cell(row, "recovery_events"),
+                reason_cell(row),
+            ]),
             other => panic!("unknown sweep series '{other}'"),
         }
     }
     vec![transient, dead]
-}
-
-/// Runs (or resumes) the sweep against `ckpt` and renders the tables from
-/// everything the checkpoint now holds.
-pub fn run(
-    quick: bool,
-    ckpt: &Checkpoint,
-    max_points: Option<usize>,
-) -> (Vec<FigTable>, SweepOutcome) {
-    let pts = points(quick);
-    let dump_dir = ckpt
-        .path()
-        .parent()
-        .filter(|p| !p.as_os_str().is_empty())
-        .map_or_else(|| PathBuf::from("results"), Path::to_path_buf);
-    let outcome = run_sweep(&pts, ckpt, max_points, &dump_dir);
-    let by_key: BTreeMap<String, BTreeMap<String, String>> = ckpt
-        .rows()
-        .into_iter()
-        .filter_map(|r| r.get("key").cloned().map(|k| (k, r)))
-        .collect();
-    (tables(&pts, &by_key), outcome)
 }
 
 #[cfg(test)]
@@ -201,7 +161,7 @@ mod tests {
     #[test]
     fn tables_render_missing_points_as_dashes() {
         let pts = points(true);
-        let tables = tables(&pts, &BTreeMap::new());
+        let tables = tables(&pts, &RowsByKey::new());
         assert_eq!(tables.len(), 2);
         assert_eq!(
             tables[0].rows.len() + tables[1].rows.len(),

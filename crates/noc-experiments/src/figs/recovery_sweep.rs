@@ -17,12 +17,10 @@
 //!   recovery path entirely.
 
 use crate::runner::Scheme;
-use crate::sweep::{run_sweep, Checkpoint, FaultPoint, SweepOutcome};
+use crate::sweep::{cell, reason_cell, FaultPoint, RowsByKey};
 use crate::table::FigTable;
 use noc_traffic::TrafficPattern;
 use noc_types::{FaultConfig, RecoveryConfig};
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
 
 /// Schemes for the armed-idle overhead comparison.
 pub fn armed_schemes() -> Vec<Scheme> {
@@ -85,18 +83,9 @@ pub fn points(quick: bool) -> Vec<FaultPoint> {
     out
 }
 
-fn cell(row: Option<&BTreeMap<String, String>>, field: &str) -> String {
-    row.and_then(|r| r.get(field))
-        .cloned()
-        .unwrap_or_else(|| "-".into())
-}
-
 /// Builds the two result tables from checkpoint rows, in the deterministic
 /// order of [`points`].
-pub fn tables(
-    pts: &[FaultPoint],
-    rows: &BTreeMap<String, BTreeMap<String, String>>,
-) -> Vec<FigTable> {
+pub fn tables(pts: &[FaultPoint], rows: &RowsByKey) -> Vec<FigTable> {
     let mut armed = FigTable::new(
         "Recovery sweep — armed recovery channel on a healthy mesh (uniform random, 0.05 inj)",
         &[
@@ -133,54 +122,26 @@ pub fn tables(
                 cell(row, "drain_recoveries"),
                 cell(row, "e2e_retransmits"),
             ]),
-            "forced-wedge" => {
-                let mut reason = cell(row, "reason");
-                if reason.len() > 48 {
-                    reason.truncate(48);
-                    reason.push('…');
-                }
-                wedge.push_row(vec![
-                    p.scheme.label(),
-                    p.recovery.canonical(),
-                    cell(row, "status"),
-                    cell(row, "avg_latency"),
-                    cell(row, "p99_latency"),
-                    cell(row, "drain_recoveries"),
-                    cell(row, "recovery_cycles_lost"),
-                    reason,
-                ]);
-            }
+            "forced-wedge" => wedge.push_row(vec![
+                p.scheme.label(),
+                p.recovery.canonical(),
+                cell(row, "status"),
+                cell(row, "avg_latency"),
+                cell(row, "p99_latency"),
+                cell(row, "drain_recoveries"),
+                cell(row, "recovery_cycles_lost"),
+                reason_cell(row),
+            ]),
             other => panic!("unknown recovery-sweep series '{other}'"),
         }
     }
     vec![armed, wedge]
 }
 
-/// Runs (or resumes) the sweep against `ckpt` and renders the tables from
-/// everything the checkpoint now holds.
-pub fn run(
-    quick: bool,
-    ckpt: &Checkpoint,
-    max_points: Option<usize>,
-) -> (Vec<FigTable>, SweepOutcome) {
-    let pts = points(quick);
-    let dump_dir = ckpt
-        .path()
-        .parent()
-        .filter(|p| !p.as_os_str().is_empty())
-        .map_or_else(|| PathBuf::from("results"), Path::to_path_buf);
-    let outcome = run_sweep(&pts, ckpt, max_points, &dump_dir);
-    let by_key: BTreeMap<String, BTreeMap<String, String>> = ckpt
-        .rows()
-        .into_iter()
-        .filter_map(|r| r.get("key").cloned().map(|k| (k, r)))
-        .collect();
-    (tables(&pts, &by_key), outcome)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{run_sweep_keyed, Checkpoint};
 
     #[test]
     fn grids_are_well_formed() {
@@ -193,7 +154,7 @@ mod tests {
             keys.dedup();
             assert_eq!(keys.len(), n, "checkpoint keys must be unique per point");
         }
-        let tables = tables(&points(true), &BTreeMap::new());
+        let tables = tables(&points(true), &RowsByKey::new());
         assert_eq!(tables.len(), 2);
         assert_eq!(
             tables[0].rows.len() + tables[1].rows.len(),
@@ -211,13 +172,8 @@ mod tests {
             .into_iter()
             .filter(|p| p.series == "forced-wedge")
             .collect();
-        let o = run_sweep(&wedge, &ckpt, None, &dir);
+        let (by_key, o) = run_sweep_keyed(&wedge, &ckpt, None);
         assert_eq!(o.failed, 0, "no forced-wedge point may panic");
-        let by_key: BTreeMap<String, BTreeMap<String, String>> = ckpt
-            .rows()
-            .into_iter()
-            .filter_map(|r| r.get("key").cloned().map(|k| (k, r)))
-            .collect();
         let status = |p: &FaultPoint| by_key[&p.key()]["status"].clone();
         assert_eq!(status(&wedge[0]), "uncertified", "unarmed ADAPT must skip");
         assert_eq!(status(&wedge[1]), "recovered", "armed ADAPT must recover");

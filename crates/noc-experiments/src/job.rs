@@ -18,8 +18,7 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::chaos::{self, CaseGen, CaseOutcome, ChaosCase, GenPool};
-use crate::jsonio::JsonObj;
+use crate::chaos::{self, CaseGen, GenPool};
 use crate::sweep::{run_sweep_ctx, Checkpoint, FaultPoint, SweepCtx, SweepProgress};
 
 /// Live progress of a running job, delivered after every completed unit
@@ -31,7 +30,8 @@ pub struct JobProgress {
     pub done: usize,
     /// Total units in the job.
     pub total: usize,
-    /// Units that finished with a `"status": "failed"` row this run.
+    /// Units that failed this run (a `"status": "failed"` sweep row, a
+    /// chaos case that failed an oracle).
     pub failed: usize,
 }
 
@@ -114,8 +114,9 @@ pub enum SimJob {
         width: usize,
     },
     /// Generate and run `cases` chaos cases from `seed`, logging one row
-    /// per case to `log`; failing cases additionally write a repro file
-    /// into the dump directory.
+    /// per case to `log` (`chaos::record_case`); failing cases are
+    /// minimized and leave `repro_<key>.json` in the dump directory. This
+    /// is the only chaos case loop: `noc_chaos` runs it under a deadline.
     Chaos {
         seed: u64,
         cases: usize,
@@ -228,26 +229,27 @@ fn run_chaos_job(
     let mut failed = 0usize;
     for _ in 0..cases {
         let case = gen.next_case();
-        let key = case.key();
-        if ckpt.is_done(&key) {
+        if ckpt.is_done(&case.key()) {
             done += 1;
             resumed += 1;
             continue;
         }
+        // Observed between cases only: a started case — minimization
+        // included — always finishes and records its row.
         if ctx.cancel.is_cancelled() {
             return Err(interrupted(ctx.cancel));
         }
-        let (status, was_failure) = run_chaos_case(&case, &ckpt, ctx.dump_dir);
-        if ckpt.write_failed() {
-            // The case's row never landed: park as storage-interrupted so
-            // the case re-executes once the journal persists again.
+        let Some(was_failure) =
+            chaos::record_case(&case, chaos::precheck(&case), &ckpt, ctx.dump_dir)
+        else {
+            // The case's repro or row never landed: park as
+            // storage-interrupted so it re-executes once storage persists.
             return Err(JobError::Interrupted(rayon::CancelReason::StorageDegraded));
-        }
+        };
         done += 1;
         if was_failure {
             failed += 1;
         }
-        let _ = status;
         if let Some(cb) = ctx.progress {
             cb(JobProgress {
                 done,
@@ -266,57 +268,6 @@ fn run_chaos_job(
         rows: Some(log_path.to_path_buf()),
         summary: format!("chaos: {done} cases, {resumed} resumed, {failed} failed"),
     })
-}
-
-/// Runs one chaos case and records its row; returns `(status, was_failure)`.
-fn run_chaos_case(case: &ChaosCase, ckpt: &Checkpoint, dump_dir: &Path) -> (String, bool) {
-    let base = |status: &str| {
-        JsonObj::new()
-            .str_field("key", &case.key())
-            .str_field("scheme", &case.scheme.label())
-            .str_field("pattern", case.pattern.label())
-            .f64_field("rate", case.rate, 6)
-            .u64_field("seed", case.seed)
-            .str_field("status", status)
-    };
-    // Persistence failures latch `ckpt.write_failed()`, which the caller
-    // checks after every case — an unpersisted row parks the job.
-    if let Err(e) = chaos::precheck(case) {
-        let _ = ckpt.record(&base("skipped").str_field("reason", &e).finish());
-        return ("skipped".into(), false);
-    }
-    match chaos::run_case(case, dump_dir) {
-        CaseOutcome::Pass(report) => {
-            let _ = ckpt.record(
-                &base("pass")
-                    .str_field("digest", &format!("{:016x}", report.digest))
-                    .u64_field("delivered", report.delivered)
-                    .finish(),
-            );
-            ("pass".into(), false)
-        }
-        CaseOutcome::Saturated(why) => {
-            let _ = ckpt.record(&base("saturated").str_field("reason", &why).finish());
-            ("saturated".into(), false)
-        }
-        CaseOutcome::Fail(f) => {
-            // Persist a replayable repro next to the black-box dumps.
-            // Atomic: a half-written repro that replays differently would
-            // be worse than none.
-            let repro = dump_dir.join(format!("repro_{}.jsonl", case.key()));
-            let line = chaos::repro_line(case, &f);
-            let _ = ckpt
-                .vfs()
-                .write_atomic(&repro, format!("{line}\n").as_bytes());
-            let _ = ckpt.record(
-                &base("failed")
-                    .str_field("reason", &format!("{}: {}", f.kind.label(), f.detail))
-                    .str_field("repro", &repro.display().to_string())
-                    .finish(),
-            );
-            ("failed".into(), true)
-        }
-    }
 }
 
 fn run_replay_job(repro: &Path, ctx: &JobCtx<'_>) -> Result<JobReport, JobError> {
@@ -437,6 +388,9 @@ mod tests {
         assert_eq!(rows.len(), 2);
         for row in &rows {
             assert!(row.contains_key("status"), "{row:?}");
+            // The service log carries the whole case: it rebuilds.
+            let case = chaos::ChaosCase::from_row(row).expect("row rebuilds its case");
+            assert_eq!(case.key(), row["key"]);
         }
         // A second run adopts both rows from the journal.
         let r = job.run(&quiet(&token, &dir)).expect("chaos resumes");
@@ -480,7 +434,7 @@ mod tests {
         // chaos-style run, then replay it through the job abstraction.
         let case = chaos::wedged_adaptive_case();
         let f = match chaos::run_case(&case, &dir) {
-            CaseOutcome::Fail(f) => f,
+            chaos::CaseOutcome::Fail(f) => f,
             other => panic!("expected failure, got {other:?}"),
         };
         let repro = dir.join("repro.jsonl");

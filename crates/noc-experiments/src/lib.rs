@@ -41,8 +41,7 @@ pub mod figs {
 }
 
 pub use chaos::{
-    minimize, precheck, replay, run_case, run_soak, CaseGen, CaseOutcome, ChaosCase, FailureKind,
-    GenPool, SoakOpts, SoakSummary,
+    minimize, precheck, replay, run_case, CaseGen, CaseOutcome, ChaosCase, FailureKind, GenPool,
 };
 pub use job::{JobCtx, JobError, JobProgress, JobReport, SimJob};
 pub use runner::{run_app, run_synth, AppSpec, Scheme, SynthSpec};

@@ -133,21 +133,39 @@ impl FaultPoint {
         )
     }
 
-    /// Stable checkpoint key: FNV-1a over every knob that changes the
-    /// result — scheme, traffic, seed and the full config digest (which
-    /// itself covers the fault scenario).
+    /// Stable checkpoint key: see [`run_key`].
     pub fn key(&self) -> String {
-        let s = format!(
-            "{}|{}|{:016x}|{}|{}|{:016x}",
-            self.scheme.label(),
-            self.pattern.label(),
-            self.rate.to_bits(),
+        run_key(
+            self.scheme,
+            self.pattern,
+            self.rate,
             self.cycles,
             self.seed,
-            self.config().digest(),
-        );
-        format!("{:016x}", fnv1a(s.as_bytes()))
+            &self.config(),
+        )
     }
+}
+
+/// The one content address of a simulated run, shared by sweep points and
+/// chaos cases: FNV-1a over every knob that changes the result — scheme,
+/// traffic, seed and the full config digest (which itself covers the fault
+/// scenario, schedule and recovery arming).
+pub(crate) fn run_key(
+    scheme: Scheme,
+    pattern: TrafficPattern,
+    rate: f64,
+    cycles: u64,
+    seed: u64,
+    cfg: &NetConfig,
+) -> String {
+    let s = format!(
+        "{}|{}|{:016x}|{cycles}|{seed}|{:016x}",
+        scheme.label(),
+        pattern.label(),
+        rate.to_bits(),
+        cfg.digest(),
+    );
+    format!("{:016x}", fnv1a(s.as_bytes()))
 }
 
 /// The quarantine side file for a journal: `<journal>.quarantine`, holding
@@ -811,6 +829,49 @@ pub fn run_sweep(
     dump_dir: &Path,
 ) -> SweepOutcome {
     run_sweep_with_width(points, ckpt, max_points, dump_dir, batch_width())
+}
+
+/// Checkpoint rows by their `"key"`.
+pub type RowsByKey = BTreeMap<String, BTreeMap<String, String>>;
+
+/// The figure drivers' `run`: executes (or resumes) `points` against
+/// `ckpt` with black-box dumps next to the checkpoint (`results/` for a
+/// bare file name), then returns every row the checkpoint now holds — so
+/// a resumed sweep's tables include the points an earlier run completed.
+pub(crate) fn run_sweep_keyed(
+    points: &[FaultPoint],
+    ckpt: &Checkpoint,
+    max_points: Option<usize>,
+) -> (RowsByKey, SweepOutcome) {
+    let dump_dir = ckpt
+        .path()
+        .parent()
+        .filter(|p| !p.as_os_str().is_empty())
+        .map_or_else(|| PathBuf::from("results"), Path::to_path_buf);
+    let outcome = run_sweep(points, ckpt, max_points, &dump_dir);
+    let rows = ckpt
+        .rows()
+        .into_iter()
+        .filter_map(|r| r.get("key").cloned().map(|k| (k, r)))
+        .collect();
+    (rows, outcome)
+}
+
+/// A table cell from a row that may be missing: the field, else `-`.
+pub(crate) fn cell(row: Option<&BTreeMap<String, String>>, field: &str) -> String {
+    row.and_then(|r| r.get(field))
+        .cloned()
+        .unwrap_or_else(|| "-".into())
+}
+
+/// The row's `reason` as a table cell, cut to 48 bytes plus `…`.
+pub(crate) fn reason_cell(row: Option<&BTreeMap<String, String>>) -> String {
+    let mut reason = cell(row, "reason");
+    if reason.len() > 48 {
+        reason.truncate(48);
+        reason.push('…');
+    }
+    reason
 }
 
 /// [`run_sweep`] with an explicit lockstep batch width (tests use this to

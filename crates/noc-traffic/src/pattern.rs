@@ -53,6 +53,26 @@ impl TrafficPattern {
         }
     }
 
+    /// Every pattern, in declaration order.
+    pub const ALL: [TrafficPattern; 8] = [
+        TrafficPattern::UniformRandom,
+        TrafficPattern::Transpose,
+        TrafficPattern::BitRotation,
+        TrafficPattern::Shuffle,
+        TrafficPattern::BitComplement,
+        TrafficPattern::Tornado,
+        TrafficPattern::Neighbor,
+        TrafficPattern::Hotspot,
+    ];
+
+    /// Inverse of [`TrafficPattern::label`].
+    pub fn from_label(label: &str) -> Result<TrafficPattern, String> {
+        TrafficPattern::ALL
+            .into_iter()
+            .find(|p| p.label() == label)
+            .ok_or_else(|| format!("unknown pattern label '{label}'"))
+    }
+
     /// The destination for a packet injected at `src`, or `None` when the
     /// pattern maps `src` to itself (that node does not inject, matching
     /// Garnet). `cols`/`rows` describe the mesh; random patterns use `rng`.
@@ -209,16 +229,7 @@ mod tests {
     #[test]
     fn patterns_always_stay_on_mesh() {
         let mut r = rng();
-        for p in [
-            TrafficPattern::UniformRandom,
-            TrafficPattern::Transpose,
-            TrafficPattern::BitRotation,
-            TrafficPattern::Shuffle,
-            TrafficPattern::BitComplement,
-            TrafficPattern::Tornado,
-            TrafficPattern::Neighbor,
-            TrafficPattern::Hotspot,
-        ] {
+        for p in TrafficPattern::ALL {
             for s in 0..64u16 {
                 if let Some(d) = p.dest(NodeId(s), 8, 8, &mut r) {
                     assert!(d.0 < 64, "{p:?} left the mesh: {s} → {d}");
@@ -226,5 +237,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn from_label_round_trips_all_eight_patterns() {
+        let mut labels: Vec<&str> = TrafficPattern::ALL.iter().map(|p| p.label()).collect();
+        for p in TrafficPattern::ALL {
+            assert_eq!(TrafficPattern::from_label(p.label()), Ok(p));
+        }
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), 8, "labels must be unique");
+        assert_eq!(
+            TrafficPattern::from_label("Transpose").unwrap_err(),
+            "unknown pattern label 'Transpose'"
+        );
+        assert_eq!(
+            TrafficPattern::from_label("").unwrap_err(),
+            "unknown pattern label ''"
+        );
     }
 }

@@ -120,6 +120,31 @@ impl RecoveryConfig {
             self.e2e_max_retries
         )
     }
+
+    /// Inverse of [`RecoveryConfig::canonical`]; absent fields keep their
+    /// defaults.
+    pub fn from_canonical(canon: &str) -> Result<RecoveryConfig, String> {
+        let mut rc = RecoveryConfig::default();
+        for part in canon.split(';').filter(|p| !p.is_empty()) {
+            let (key, val) = part
+                .split_once('=')
+                .ok_or_else(|| format!("bad recovery field '{part}'"))?;
+            let n: u64 = val
+                .parse()
+                .map_err(|e| format!("recovery field '{part}': {e}"))?;
+            match key {
+                "re" => rc.enabled = n != 0,
+                "st" => rc.stuck_threshold = n,
+                "et" => rc.e2e_timeout = n,
+                "er" => {
+                    rc.e2e_max_retries =
+                        u32::try_from(n).map_err(|e| format!("recovery field '{part}': {e}"))?;
+                }
+                other => return Err(format!("unknown recovery field '{other}'")),
+            }
+        }
+        Ok(rc)
+    }
 }
 
 #[cfg(test)]
@@ -159,5 +184,50 @@ mod tests {
             a.canonical(),
             RecoveryConfig::drain().with_e2e(64, 4).canonical()
         );
+    }
+
+    #[test]
+    fn from_canonical_round_trips_every_field() {
+        for rc in [
+            RecoveryConfig::default(),
+            RecoveryConfig::drain(),
+            RecoveryConfig::drain()
+                .with_stuck_threshold(128)
+                .with_e2e(600, 50),
+            RecoveryConfig::default().with_e2e(u64::MAX, u32::MAX),
+        ] {
+            let back = RecoveryConfig::from_canonical(&rc.canonical()).unwrap();
+            assert_eq!(back, rc);
+            assert_eq!(back.canonical(), rc.canonical());
+        }
+        // Each field on its own lands on its knob; the rest stay default.
+        let one = |s: &str| RecoveryConfig::from_canonical(s).unwrap();
+        assert!(one("re=1").enabled);
+        assert_eq!(one("st=9").stuck_threshold, 9);
+        assert_eq!(one("et=7").e2e_timeout, 7);
+        assert_eq!(one("er=3").e2e_max_retries, 3);
+        assert_eq!(one(""), RecoveryConfig::default());
+    }
+
+    #[test]
+    fn from_canonical_rejects_garbage_with_the_field_named() {
+        for (canon, want) in [
+            ("re", "bad recovery field 're'"),
+            (
+                "st=x",
+                "recovery field 'st=x': invalid digit found in string",
+            ),
+            (
+                "er=4294967296",
+                "recovery field 'er=4294967296': out of range integral type conversion attempted",
+            ),
+            ("zz=1", "unknown recovery field 'zz'"),
+        ] {
+            assert_eq!(
+                RecoveryConfig::from_canonical(canon).unwrap_err(),
+                want,
+                "{canon}"
+            );
+        }
     }
 }

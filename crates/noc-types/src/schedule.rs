@@ -344,6 +344,42 @@ impl FaultSchedule {
         }
         s
     }
+
+    /// Inverse of [`FaultSchedule::canonical`] (`at:code:node[:dir],`
+    /// repeated). Parses structure only; [`FaultSchedule::validate`] judges
+    /// the timeline.
+    pub fn from_canonical(canon: &str) -> Result<FaultSchedule, String> {
+        let mut events = Vec::new();
+        for tok in canon.split(',').filter(|t| !t.is_empty()) {
+            let parts: Vec<&str> = tok.split(':').collect();
+            let err = |what: &str| format!("bad schedule event '{tok}': {what}");
+            if parts.len() < 3 {
+                return Err(err("too few fields"));
+            }
+            let at: Cycle = parts[0].parse().map_err(|_| err("bad cycle"))?;
+            let node = NodeId(parts[2].parse().map_err(|_| err("bad node"))?);
+            let dir = || -> Result<Direction, String> {
+                let idx: usize = parts
+                    .get(3)
+                    .ok_or_else(|| err("missing direction"))?
+                    .parse()
+                    .map_err(|_| err("bad direction"))?;
+                if idx >= 4 {
+                    return Err(err("direction out of range"));
+                }
+                Ok(Direction::from_index(idx))
+            };
+            let action = match parts[1] {
+                "kl" => FaultAction::KillLink(node, dir()?),
+                "hl" => FaultAction::HealLink(node, dir()?),
+                "kr" => FaultAction::KillRouter(node),
+                "hr" => FaultAction::HealRouter(node),
+                other => return Err(err(&format!("unknown action '{other}'"))),
+            };
+            events.push(FaultEvent { at, action });
+        }
+        Ok(FaultSchedule::new(events))
+    }
 }
 
 #[cfg(test)]
@@ -494,6 +530,63 @@ mod tests {
         let c = FaultSchedule::link_flap(NodeId(5), Direction::East, 100, 201);
         assert_ne!(a.canonical(), c.canonical());
         assert_eq!(FaultSchedule::none().canonical(), "");
+    }
+
+    #[test]
+    fn from_canonical_round_trips_every_action_code() {
+        let router = |at: Cycle, action: fn(NodeId) -> FaultAction| FaultEvent {
+            at,
+            action: action(NodeId(15)),
+        };
+        let mut events = Vec::new();
+        for d in [
+            Direction::North,
+            Direction::South,
+            Direction::East,
+            Direction::West,
+        ] {
+            events.push(kl(10, 5, d));
+            events.push(hl(20, 5, d));
+        }
+        events.push(router(30, FaultAction::KillRouter));
+        events.push(router(40, FaultAction::HealRouter));
+        let s = FaultSchedule::new(events);
+        let canon = s.canonical();
+        for code in [":kl:", ":hl:", ":kr:", ":hr:"] {
+            assert!(canon.contains(code), "{canon}");
+        }
+        let back = FaultSchedule::from_canonical(&canon).unwrap();
+        assert_eq!(back, s);
+        assert_eq!(back.canonical(), canon);
+        assert_eq!(
+            FaultSchedule::from_canonical("").unwrap(),
+            FaultSchedule::none()
+        );
+    }
+
+    #[test]
+    fn from_canonical_rejects_garbage_with_the_event_named() {
+        for (canon, want) in [
+            ("10:kl", "bad schedule event '10:kl': too few fields"),
+            ("x:kl:5:2", "bad schedule event 'x:kl:5:2': bad cycle"),
+            ("10:kl:y:2", "bad schedule event '10:kl:y:2': bad node"),
+            ("10:kl:5", "bad schedule event '10:kl:5': missing direction"),
+            ("10:hl:5:z", "bad schedule event '10:hl:5:z': bad direction"),
+            (
+                "10:kl:5:4",
+                "bad schedule event '10:kl:5:4': direction out of range",
+            ),
+            (
+                "10:zz:5",
+                "bad schedule event '10:zz:5': unknown action 'zz'",
+            ),
+        ] {
+            assert_eq!(
+                FaultSchedule::from_canonical(canon).unwrap_err(),
+                want,
+                "{canon}"
+            );
+        }
     }
 
     #[test]
