@@ -607,13 +607,13 @@ pub fn precheck(case: &ChaosCase) -> Result<(), String> {
     }
     let epochs = noc_verify::certify_schedule(&cfg)?;
     for e in &epochs {
-        if !e.report.verdict.routable() && !armed {
+        if !e.report.routing.routable() && !armed {
             return Err(format!(
                 "unroutable epoch {} with recovery unarmed",
                 e.action
             ));
         }
-        if static_kind && !armed && !e.report.verdict.certified() {
+        if static_kind && !armed && !e.report.routing.certified() {
             return Err(format!(
                 "uncertified epoch {} ({}) with recovery unarmed",
                 e.action,

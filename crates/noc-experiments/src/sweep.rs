@@ -467,8 +467,8 @@ enum PointRun {
 /// must undercut the watchdog panic.
 fn gate_point(p: &FaultPoint, cfg: &NetConfig) -> Option<(&'static str, String)> {
     let report = noc_verify::certify_degraded(cfg);
-    use noc_verify::DegradedVerdict as V;
-    match &report.verdict {
+    use noc_verify::RoutingVerdict as V;
+    match &report.routing {
         V::Unroutable { src, dest } => {
             return Some((
                 "unroutable",

@@ -7,8 +7,9 @@
 //! machinery the checkpoint journals key on), and executed on a supervised
 //! worker pool:
 //!
-//! * the job lifecycle is a **typestate** ([`lifecycle`]): illegal
-//!   transitions do not compile, terminal states have no exits;
+//! * the job lifecycle is one runtime relation ([`lifecycle::Stage`]):
+//!   every transition is checked against it, live and on journal replay,
+//!   and terminal stages have no exits;
 //! * every transition is journaled, and every unit of work lands in an
 //!   append-only `rows.ckpt.jsonl`, so `kill -9` at any byte is recoverable:
 //!   the next boot adopts the journals and resumes, producing row sets
@@ -32,7 +33,7 @@ pub mod service;
 pub mod spec;
 
 pub use http::HttpOpts;
-pub use lifecycle::{JobState, Stage};
+pub use lifecycle::Stage;
 pub use queue::{BoundedQueue, QueueFull};
 pub use service::{Counter, JobStatus, NetStats, ServeOpts, Service, SubmitError};
 pub use spec::{JobSpec, SpecKind, SweepSource};

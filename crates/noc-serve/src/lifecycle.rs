@@ -1,8 +1,8 @@
-//! The job lifecycle, twice: once as a **typestate** (illegal transitions
-//! do not compile) and once as a runtime [`Stage`] relation (journals and
-//! HTTP payloads need values, not types). The two are pinned against each
-//! other by `tests/lifecycle.rs`: every typestate method corresponds to a
-//! `permits` edge and vice versa.
+//! The job lifecycle as a runtime relation: [`Stage`] is what journals,
+//! HTTP payloads and the scheduler's registry store, and
+//! [`Stage::permits`] is the edge set every transition — written live or
+//! replayed from a journal on restart — is validated against.
+//! `tests/lifecycle.rs` pins the edge set, reachability and terminality.
 //!
 //! ```text
 //!            ┌────────────┐ start  ┌─────────┐ complete  ┌──────┐
@@ -17,19 +17,12 @@
 //!                  └── cancel ────┴──────────────┘
 //! ```
 //!
-//! `DONE`, `FAILED` and `CANCELLED` are terminal: the corresponding
-//! typestates have **no** transition methods, so "resurrecting" a
-//! cancelled job is a compile error, and the runtime relation returns
-//! `false` for every edge out of them (the restart-adoption path leans on
-//! this — a terminal journal line ends the job's story, whatever follows).
+//! `DONE`, `FAILED` and `CANCELLED` are terminal: the relation returns
+//! `false` for every edge out of them, so a cancelled job is never
+//! resurrected (the restart-adoption path leans on this — a terminal
+//! journal line ends the job's story, whatever follows).
 
-use std::marker::PhantomData;
-
-// ---------------------------------------------------------------------------
-// Runtime stage relation
-// ---------------------------------------------------------------------------
-
-/// Runtime mirror of the typestate: what journals, HTTP responses and the
+/// A job's lifecycle position: what journals, HTTP responses and the
 /// scheduler's registry store.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Stage {
@@ -82,10 +75,9 @@ impl Stage {
         matches!(self, Stage::Done | Stage::Failed | Stage::Cancelled)
     }
 
-    /// The transition relation — exactly the edges the typestate methods
-    /// below encode. Journal replay on restart validates every recorded
-    /// transition against this (a journal claiming `done → running` is
-    /// corruption, not history).
+    /// The transition relation. Journal replay on restart validates every
+    /// recorded transition against this (a journal claiming `done →
+    /// running` is corruption, not history).
     pub fn permits(self, to: Stage) -> bool {
         use Stage::{Cancelled, Checkpointed, Done, Failed, Queued, Running};
         matches!(
@@ -102,181 +94,6 @@ impl std::fmt::Display for Stage {
         f.write_str(self.label())
     }
 }
-
-// ---------------------------------------------------------------------------
-// Typestate
-// ---------------------------------------------------------------------------
-
-/// Typestate marker: queued.
-pub enum Queued {}
-/// Typestate marker: running.
-pub enum Running {}
-/// Typestate marker: checkpointed (interrupted, resumable).
-pub enum Checkpointed {}
-/// Typestate marker: done (terminal).
-pub enum Done {}
-/// Typestate marker: failed (terminal).
-pub enum Failed {}
-/// Typestate marker: cancelled (terminal).
-pub enum Cancelled {}
-
-/// Maps a typestate marker back to its runtime [`Stage`] so generic code
-/// (the scheduler's journal writer) can ask "which stage am I in?".
-pub trait StageOf {
-    /// The runtime stage this marker denotes.
-    const STAGE: Stage;
-}
-impl StageOf for Queued {
-    const STAGE: Stage = Stage::Queued;
-}
-impl StageOf for Running {
-    const STAGE: Stage = Stage::Running;
-}
-impl StageOf for Checkpointed {
-    const STAGE: Stage = Stage::Checkpointed;
-}
-impl StageOf for Done {
-    const STAGE: Stage = Stage::Done;
-}
-impl StageOf for Failed {
-    const STAGE: Stage = Stage::Failed;
-}
-impl StageOf for Cancelled {
-    const STAGE: Stage = Stage::Cancelled;
-}
-
-/// A job's lifecycle position, parameterized by typestate. Transition
-/// methods consume `self` and return the next state; states without a
-/// method for an edge make that transition a **compile error**:
-///
-/// ```compile_fail
-/// use noc_serve::lifecycle::JobState;
-/// let done = JobState::submit("j1".into()).start().complete();
-/// done.start(); // no such method: DONE is terminal
-/// ```
-///
-/// ```compile_fail
-/// use noc_serve::lifecycle::JobState;
-/// let cancelled = JobState::submit("j1".into()).cancel();
-/// cancelled.start(); // no resurrection of a cancelled job
-/// ```
-///
-/// ```compile_fail
-/// use noc_serve::lifecycle::JobState;
-/// let queued = JobState::submit("j1".into());
-/// queued.checkpoint(); // nothing to checkpoint before the job ran
-/// ```
-///
-/// ```compile_fail
-/// use noc_serve::lifecycle::JobState;
-/// let failed = JobState::submit("j1".into()).start().fail();
-/// failed.resume(); // quarantined/failed jobs stay failed
-/// ```
-#[derive(Debug)]
-pub struct JobState<S> {
-    id: String,
-    /// Executed attempts (incremented by [`JobState::start`] and
-    /// [`JobState::resume`]).
-    attempts: u32,
-    _stage: PhantomData<S>,
-}
-
-impl<S: StageOf> JobState<S> {
-    /// The runtime stage of this typestate.
-    pub fn stage(&self) -> Stage {
-        S::STAGE
-    }
-
-    /// The job's content-address id.
-    pub fn id(&self) -> &str {
-        &self.id
-    }
-
-    /// Executed attempts so far.
-    pub fn attempts(&self) -> u32 {
-        self.attempts
-    }
-
-    fn into<T: StageOf>(self) -> JobState<T> {
-        debug_assert!(
-            S::STAGE.permits(T::STAGE),
-            "typestate edge {} -> {} missing from Stage::permits",
-            S::STAGE,
-            T::STAGE
-        );
-        JobState {
-            id: self.id,
-            attempts: self.attempts,
-            _stage: PhantomData,
-        }
-    }
-}
-
-impl JobState<Queued> {
-    /// A freshly accepted job.
-    pub fn submit(id: String) -> JobState<Queued> {
-        JobState {
-            id,
-            attempts: 0,
-            _stage: PhantomData,
-        }
-    }
-
-    /// A worker claims the job.
-    pub fn start(mut self) -> JobState<Running> {
-        self.attempts += 1;
-        self.into()
-    }
-
-    /// Client cancellation before any worker claimed it.
-    pub fn cancel(self) -> JobState<Cancelled> {
-        self.into()
-    }
-}
-
-impl JobState<Running> {
-    /// The job ran to completion.
-    pub fn complete(self) -> JobState<Done> {
-        self.into()
-    }
-
-    /// Deterministic failure, deadline expiry, or quarantine — terminal.
-    pub fn fail(self) -> JobState<Failed> {
-        self.into()
-    }
-
-    /// Client cancellation observed mid-run (at a unit boundary).
-    pub fn cancel(self) -> JobState<Cancelled> {
-        self.into()
-    }
-
-    /// Interrupted with progress journaled: service drain, crash adoption,
-    /// or a panicking attempt parked for its backoff. Resumable.
-    pub fn checkpoint(self) -> JobState<Checkpointed> {
-        self.into()
-    }
-}
-
-impl JobState<Checkpointed> {
-    /// A worker re-claims the job; the journal skips finished units.
-    pub fn resume(mut self) -> JobState<Running> {
-        self.attempts += 1;
-        self.into()
-    }
-
-    /// Client cancellation while parked.
-    pub fn cancel(self) -> JobState<Cancelled> {
-        self.into()
-    }
-
-    /// The retry budget ran out: quarantined, terminal.
-    pub fn quarantine(self) -> JobState<Failed> {
-        self.into()
-    }
-}
-
-// Done / Failed / Cancelled deliberately have no impl blocks: terminality
-// is the absence of methods, checked at compile time.
 
 #[cfg(test)]
 mod tests {
@@ -297,34 +114,5 @@ mod tests {
                 assert!(!from.permits(to), "{from} -> {to} must be illegal");
             }
         }
-    }
-
-    #[test]
-    fn typestate_walk_matches_runtime_relation() {
-        // QUEUED -> RUNNING -> CHECKPOINTED -> RUNNING -> DONE, counting
-        // attempts along the way.
-        let q = JobState::submit("walk".into());
-        assert_eq!((q.stage(), q.attempts()), (Stage::Queued, 0));
-        let r = q.start();
-        assert_eq!((r.stage(), r.attempts()), (Stage::Running, 1));
-        let c = r.checkpoint();
-        assert_eq!(c.stage(), Stage::Checkpointed);
-        let r = c.resume();
-        assert_eq!((r.stage(), r.attempts()), (Stage::Running, 2));
-        let d = r.complete();
-        assert_eq!((d.stage(), d.id()), (Stage::Done, "walk"));
-    }
-
-    #[test]
-    fn quarantine_and_cancel_paths_terminate() {
-        let f = JobState::submit("q".into())
-            .start()
-            .checkpoint()
-            .quarantine();
-        assert_eq!(f.stage(), Stage::Failed);
-        let c = JobState::submit("c".into()).cancel();
-        assert_eq!(c.stage(), Stage::Cancelled);
-        let c = JobState::submit("c2".into()).start().cancel();
-        assert_eq!(c.stage(), Stage::Cancelled);
     }
 }

@@ -4,7 +4,7 @@
 //! CANCELLED and FAILED in particular — admit **no** resurrection, however
 //! the walk continues (the restart-adoption path depends on this).
 
-use noc_serve::lifecycle::{JobState, Stage};
+use noc_serve::lifecycle::Stage;
 use proptest::prelude::*;
 
 /// The lifecycle's ground truth, spelled out edge by edge. `permits` must
@@ -89,88 +89,6 @@ proptest! {
                 }
             }
         }
-
-    }
-
-    /// The same walks driven through the **typestate** API, using the
-    /// runtime relation as the model: whenever the model says an edge
-    /// exists from the current stage, the corresponding typestate method
-    /// must exist (encoded here as the walk's driver), and the typestate's
-    /// resulting stage must match the model. A divergence in either
-    /// direction fails the test, pinning `JobState` and `Stage::permits`
-    /// together.
-    #[test]
-    fn typestate_and_runtime_relation_agree(codes in prop::collection::vec(0u8..6, 1..30)) {
-        // The typestate cannot be stored in one variable across stages, so
-        // the walk drives an enum mirror whose arms hold each typestate.
-        enum AnyState {
-            Queued(JobState<noc_serve::lifecycle::Queued>),
-            Running(JobState<noc_serve::lifecycle::Running>),
-            Checkpointed(JobState<noc_serve::lifecycle::Checkpointed>),
-            Done(JobState<noc_serve::lifecycle::Done>),
-            Failed(JobState<noc_serve::lifecycle::Failed>),
-            Cancelled(JobState<noc_serve::lifecycle::Cancelled>),
-        }
-        impl AnyState {
-            fn stage(&self) -> Stage {
-                match self {
-                    AnyState::Queued(s) => s.stage(),
-                    AnyState::Running(s) => s.stage(),
-                    AnyState::Checkpointed(s) => s.stage(),
-                    AnyState::Done(s) => s.stage(),
-                    AnyState::Failed(s) => s.stage(),
-                    AnyState::Cancelled(s) => s.stage(),
-                }
-            }
-            /// Applies the edge `to` when the typestate offers it.
-            fn step(self, to: Stage) -> Result<AnyState, AnyState> {
-                use AnyState as A;
-                match (self, to) {
-                    (A::Queued(s), Stage::Running) => Ok(A::Running(s.start())),
-                    (A::Queued(s), Stage::Cancelled) => Ok(A::Cancelled(s.cancel())),
-                    (A::Running(s), Stage::Done) => Ok(A::Done(s.complete())),
-                    (A::Running(s), Stage::Failed) => Ok(A::Failed(s.fail())),
-                    (A::Running(s), Stage::Cancelled) => Ok(A::Cancelled(s.cancel())),
-                    (A::Running(s), Stage::Checkpointed) => Ok(A::Checkpointed(s.checkpoint())),
-                    (A::Checkpointed(s), Stage::Running) => Ok(A::Running(s.resume())),
-                    (A::Checkpointed(s), Stage::Cancelled) => Ok(A::Cancelled(s.cancel())),
-                    (A::Checkpointed(s), Stage::Failed) => Ok(A::Failed(s.quarantine())),
-                    (other, _) => Err(other),
-                }
-            }
-        }
-
-        let mut state = AnyState::Queued(JobState::submit("prop".into()));
-        let mut attempts_model = 0u32;
-        for &c in &codes {
-            let to = stage(c);
-            let from = state.stage();
-            match state.step(to) {
-                Ok(next) => {
-                    prop_assert!(from.permits(to), "typestate offered illegal {from} -> {to}");
-                    prop_assert_eq!(next.stage(), to);
-                    if to == Stage::Running {
-                        attempts_model += 1;
-                    }
-                    state = next;
-                }
-                Err(same) => {
-                    prop_assert!(!from.permits(to), "runtime permits {from} -> {to} but typestate lacks it");
-                    prop_assert_eq!(same.stage(), from);
-                    state = same;
-                }
-            }
-        }
-        // Attempts count exactly the entries into RUNNING.
-        let attempts = match &state {
-            AnyState::Queued(s) => s.attempts(),
-            AnyState::Running(s) => s.attempts(),
-            AnyState::Checkpointed(s) => s.attempts(),
-            AnyState::Done(s) => s.attempts(),
-            AnyState::Failed(s) => s.attempts(),
-            AnyState::Cancelled(s) => s.attempts(),
-        };
-        prop_assert_eq!(attempts, attempts_model);
 
     }
 }

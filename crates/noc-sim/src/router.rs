@@ -1,7 +1,7 @@
 //! The VC-based mesh router: route computation, combined VA+SA (1-cycle
 //! pipeline), and the data structures the network engine drives.
 
-use crate::routing::{candidates, west_first, Candidates};
+use crate::routing::{candidates, masked_candidates, west_first, Candidates};
 use crate::soa::CreditView;
 use crate::vc::VirtualChannel;
 use noc_types::{
@@ -117,12 +117,9 @@ pub struct Move {
 /// Adaptive routing consults the credit view for free-VC counts; oblivious
 /// picks uniformly at random; XY/west-first are (near-)deterministic.
 ///
-/// On a degraded mesh (`mask` present) the candidate set becomes the mask's
-/// distance-decreasing live directions — the detours around dead links —
-/// intersected with the algorithm's own candidates where that intersection
-/// is non-empty (so XY stays XY wherever its path is live). Degraded
-/// configurations are certified routable up front, so the masked set is
-/// never empty.
+/// On a degraded mesh (`mask` present) the candidates are
+/// [`masked_candidates`], so XY stays XY wherever its path is live. Degraded
+/// configurations are certified routable up front: that set is never empty.
 #[allow(clippy::too_many_arguments)]
 pub fn route_compute(
     algo: BaseRouting,
@@ -136,20 +133,7 @@ pub fn route_compute(
     debug_assert_ne!(from, dest);
     let cands = match mask {
         None => candidates(algo, from, dest),
-        Some(m) => {
-            let masked = m.candidates(from, dest);
-            let both: Candidates = candidates(algo, from, dest)
-                .as_slice()
-                .iter()
-                .copied()
-                .filter(|d| masked.contains(*d))
-                .collect();
-            if both.is_empty() {
-                masked
-            } else {
-                both
-            }
-        }
+        Some(m) => masked_candidates(algo, m, from, dest),
     };
     assert!(
         !cands.is_empty(),

@@ -5,6 +5,7 @@
 //! and the RNG to pick one (adaptive = weighted by free VCs, oblivious =
 //! uniform random, deterministic = single candidate).
 
+use crate::fault::RouteMask;
 use noc_types::{BaseRouting, Coord, Direction};
 
 /// A small fixed-capacity set of candidate directions (a minimal route on a
@@ -110,6 +111,30 @@ pub fn candidates(algo: BaseRouting, from: Coord, to: Coord) -> Candidates {
         BaseRouting::Xy => xy(from, to),
         BaseRouting::WestFirst => west_first(from, to),
         BaseRouting::ObliviousMinimal | BaseRouting::AdaptiveMinimal => productive(from, to),
+    }
+}
+
+/// Candidate directions for `algo` on a degraded mesh: the mask's live
+/// distance-decreasing directions intersected with `algo`'s own, or the mask
+/// alone when that intersection is empty (the detour case). The router and
+/// the `noc-verify` certifier both route by this one rule.
+pub fn masked_candidates(
+    algo: BaseRouting,
+    mask: &RouteMask,
+    from: Coord,
+    to: Coord,
+) -> Candidates {
+    let masked = mask.candidates(from, to);
+    let both: Candidates = candidates(algo, from, to)
+        .as_slice()
+        .iter()
+        .copied()
+        .filter(|d| masked.contains(*d))
+        .collect();
+    if both.is_empty() {
+        masked
+    } else {
+        both
     }
 }
 

@@ -19,8 +19,8 @@
 //! never escape→normal.
 
 use noc_sim::fault::{DeadSet, RouteMask};
-use noc_sim::routing::{candidates, west_first, Candidates};
-use noc_types::{BaseRouting, Coord, Direction, NetConfig};
+use noc_sim::routing::{candidates, masked_candidates, west_first, Candidates};
+use noc_types::{Coord, Direction, NetConfig};
 
 /// The VC class a channel carries: which `VNet`, and whether these are the
 /// regular (adaptive) VCs or the Duato escape VC.
@@ -91,127 +91,32 @@ pub struct Cdg {
     /// Dense lookup from (node, dir, class-slot) to channel index.
     index: Vec<Option<usize>>,
     vnets: u8,
+    /// Whether the escape relation offers an escape channel from every live
+    /// router toward every other (false without an escape layer).
+    escape_requestable: bool,
 }
 
 impl Cdg {
-    /// Builds the graph for `cfg`. Routing-level only; the protocol-level
-    /// message-class dependencies are analysed separately (they couple `VNets`,
-    /// not individual channels).
+    /// Builds the graph for `cfg` on the healthy mesh, from the
+    /// `noc_sim::routing` functions themselves. Routing-level only; the
+    /// protocol-level message-class dependencies are analysed separately
+    /// (they couple `VNets`, not individual channels).
     pub fn build(cfg: &NetConfig) -> Cdg {
-        let (cols, rows) = (cfg.cols, cfg.rows);
-        let vnets = cfg.vnets;
-        let has_escape = cfg.routing.has_escape();
         let normal = cfg.routing.normal();
-        let kinds: usize = if has_escape { 2 } else { 1 };
-        let slots = cols as usize * rows as usize * 4 * vnets as usize * kinds;
-
-        let mut g = Cdg {
-            cols,
-            rows,
-            has_escape,
-            channels: Vec::new(),
-            succ: Vec::new(),
-            index: vec![None; slots],
-            vnets,
-        };
-
-        // Enumerate channels: every on-mesh link × vnet × class kind.
-        for y in 0..rows {
-            for x in 0..cols {
-                let u = Coord::new(x, y);
-                for dir in Direction::CARDINAL {
-                    if dir.step(u, cols, rows).is_none() {
-                        continue;
-                    }
-                    for vnet in 0..vnets {
-                        g.insert(Channel {
-                            from: u,
-                            dir,
-                            class: VcClass::Normal(vnet),
-                        });
-                        if has_escape {
-                            g.insert(Channel {
-                                from: u,
-                                dir,
-                                class: VcClass::Escape(vnet),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-
-        // Dest-consistent edges. For each channel A = (u→v, c) and each
-        // destination d routable over A with d ≠ v, every continuation
-        // channel at v toward d is a dependency.
-        let mut seen = vec![false; g.channels.len()];
-        for a in 0..g.channels.len() {
-            let ch = g.channels[a];
-            let u = ch.from;
-            let v = ch.to(cols, rows);
-            let mut out: Vec<usize> = Vec::new();
-            for dy in 0..rows {
-                for dx in 0..cols {
-                    let d = Coord::new(dx, dy);
-                    if d == u || d == v {
-                        continue;
-                    }
-                    let legal_here = match ch.class {
-                        VcClass::Normal(_) => candidates(normal, u, d).contains(ch.dir),
-                        VcClass::Escape(_) => west_first(u, d).contains(ch.dir),
-                    };
-                    if !legal_here {
-                        continue;
-                    }
-                    let vnet = ch.class.vnet();
-                    match ch.class {
-                        VcClass::Normal(_) => {
-                            g.push_edges(
-                                &mut out,
-                                &mut seen,
-                                v,
-                                candidates(normal, v, d),
-                                VcClass::Normal(vnet),
-                            );
-                            if has_escape {
-                                // Escape fallback at the next router.
-                                g.push_edges(
-                                    &mut out,
-                                    &mut seen,
-                                    v,
-                                    west_first(v, d),
-                                    VcClass::Escape(vnet),
-                                );
-                            }
-                        }
-                        VcClass::Escape(_) => {
-                            // Escape residents stay in escape VCs (Duato).
-                            g.push_edges(
-                                &mut out,
-                                &mut seen,
-                                v,
-                                west_first(v, d),
-                                VcClass::Escape(vnet),
-                            );
-                        }
-                    }
-                }
-            }
-            for &b in &out {
-                seen[b] = false;
-            }
-            g.succ[a] = out;
-        }
-        g
+        Cdg::from_relation(
+            cfg,
+            None,
+            |u, d| candidates(normal, u, d),
+            cfg.routing.has_escape().then_some(&west_first),
+        )
     }
 
     /// Builds the CDG of a *degraded* mesh: channels on dead links (or
-    /// touching dead routers) do not exist, normal-class legality follows
-    /// the masked routing relation the simulator actually uses
-    /// ([`RouteMask`] candidates intersected with the base algorithm's,
-    /// falling back to the mask alone — mirroring
-    /// `noc_sim::router::route_compute`), and escape-class legality follows
-    /// the degraded west-first mask `wf` when one survives the faults.
+    /// touching dead routers) do not exist, normal-class legality is
+    /// [`masked_candidates`] over `mask` — the rule the simulator's router
+    /// uses — and escape-class legality follows the degraded west-first
+    /// mask `wf` when one survives the faults (`Some` only for escape-VC
+    /// routing).
     ///
     /// Dead routers are excluded as sources *and* destinations: nothing is
     /// routed to or from them, so they induce no dependencies.
@@ -221,10 +126,33 @@ impl Cdg {
         mask: &RouteMask,
         wf: Option<&RouteMask>,
     ) -> Cdg {
+        let normal = cfg.routing.normal();
+        let escape = wf.map(|wf| move |u, d| wf.candidates(u, d));
+        Cdg::from_relation(
+            cfg,
+            Some(dead),
+            |u, d| masked_candidates(normal, mask, u, d),
+            escape.as_ref(),
+        )
+    }
+
+    /// The one builder. The relation it certifies is which links are live
+    /// (`dead`, or every on-mesh link when `None`), the directions a
+    /// normal-class packet at `u` headed for `d` may request, and those of
+    /// the escape class if there is one.
+    fn from_relation<N, E>(
+        cfg: &NetConfig,
+        dead: Option<&DeadSet>,
+        normal: N,
+        escape: Option<&E>,
+    ) -> Cdg
+    where
+        N: Fn(Coord, Coord) -> Candidates,
+        E: Fn(Coord, Coord) -> Candidates,
+    {
         let (cols, rows) = (cfg.cols, cfg.rows);
         let vnets = cfg.vnets;
-        let has_escape = cfg.routing.has_escape() && wf.is_some();
-        let normal = cfg.routing.normal();
+        let has_escape = escape.is_some();
         let kinds: usize = if has_escape { 2 } else { 1 };
         let slots = cols as usize * rows as usize * 4 * vnets as usize * kinds;
 
@@ -236,95 +164,72 @@ impl Cdg {
             succ: Vec::new(),
             index: vec![None; slots],
             vnets,
+            escape_requestable: false,
         };
 
-        let live = |u: Coord, dir: Direction| -> bool {
-            let Some(v) = dir.step(u, cols, rows) else {
-                return false;
-            };
-            !dead.link_dead(u.to_node(cols).idx(), dir)
-                && !dead.router_dead(u.to_node(cols).idx())
-                && !dead.router_dead(v.to_node(cols).idx())
-        };
+        let router_dead = |c: Coord| dead.is_some_and(|s| s.router_dead(c.to_node(cols).idx()));
+        // Live routers in row-major order: the sources and destinations.
+        let routers: Vec<Coord> = (0..rows)
+            .flat_map(|y| (0..cols).map(move |x| Coord::new(x, y)))
+            .filter(|&c| !router_dead(c))
+            .collect();
 
-        for y in 0..rows {
-            for x in 0..cols {
-                let u = Coord::new(x, y);
-                for dir in Direction::CARDINAL {
-                    if !live(u, dir) {
-                        continue;
-                    }
-                    for vnet in 0..vnets {
+        // Enumerate channels: every live link × vnet × class kind. Each
+        // router's live directions are kept as a bitmask, by `Direction::index`.
+        let mut live_dirs = vec![0u8; routers.len()];
+        for (&u, live) in routers.iter().zip(&mut live_dirs) {
+            for dir in Direction::CARDINAL {
+                let alive = dir.step(u, cols, rows).is_some_and(|v| {
+                    !router_dead(v) && dead.is_none_or(|s| !s.link_dead(u.to_node(cols).idx(), dir))
+                });
+                if !alive {
+                    continue;
+                }
+                *live |= 1 << dir.index();
+                for vnet in 0..vnets {
+                    g.insert(Channel {
+                        from: u,
+                        dir,
+                        class: VcClass::Normal(vnet),
+                    });
+                    if has_escape {
                         g.insert(Channel {
                             from: u,
                             dir,
-                            class: VcClass::Normal(vnet),
+                            class: VcClass::Escape(vnet),
                         });
-                        if has_escape {
-                            g.insert(Channel {
-                                from: u,
-                                dir,
-                                class: VcClass::Escape(vnet),
-                            });
-                        }
                     }
                 }
             }
         }
 
+        // Dest-consistent edges. For each channel A = (u→v, c) and each
+        // live destination d routable over A with d ≠ v, every continuation
+        // channel at v toward d is a dependency.
         let mut seen = vec![false; g.channels.len()];
         for a in 0..g.channels.len() {
             let ch = g.channels[a];
             let u = ch.from;
             let v = ch.to(cols, rows);
+            let vnet = ch.class.vnet();
             let mut out: Vec<usize> = Vec::new();
-            for dy in 0..rows {
-                for dx in 0..cols {
-                    let d = Coord::new(dx, dy);
-                    if d == u || d == v || dead.router_dead(d.to_node(cols).idx()) {
-                        continue;
-                    }
-                    let legal_here = match ch.class {
-                        VcClass::Normal(_) => masked_dirs(normal, mask, u, d).contains(ch.dir),
-                        VcClass::Escape(_) => wf
-                            .expect("escape channels only exist with a wf mask")
-                            .candidates(u, d)
-                            .contains(ch.dir),
-                    };
-                    if !legal_here {
-                        continue;
-                    }
-                    let vnet = ch.class.vnet();
-                    match ch.class {
-                        VcClass::Normal(_) => {
-                            g.push_edges(
-                                &mut out,
-                                &mut seen,
-                                v,
-                                masked_dirs(normal, mask, v, d),
-                                VcClass::Normal(vnet),
-                            );
-                            if let Some(wf) = wf {
-                                g.push_edges(
-                                    &mut out,
-                                    &mut seen,
-                                    v,
-                                    wf.candidates(v, d),
-                                    VcClass::Escape(vnet),
-                                );
-                            }
-                        }
-                        VcClass::Escape(_) => {
-                            g.push_edges(
-                                &mut out,
-                                &mut seen,
-                                v,
-                                wf.expect("escape channels only exist with a wf mask")
-                                    .candidates(v, d),
-                                VcClass::Escape(vnet),
-                            );
+            for &d in &routers {
+                if d == u || d == v {
+                    continue;
+                }
+                match (ch.class, escape) {
+                    (VcClass::Normal(_), _) if normal(u, d).contains(ch.dir) => {
+                        g.push_edges(&mut out, &mut seen, v, normal(v, d), VcClass::Normal(vnet));
+                        if let Some(esc) = escape {
+                            // The escape fallback at the next router.
+                            g.push_edges(&mut out, &mut seen, v, esc(v, d), VcClass::Escape(vnet));
                         }
                     }
+                    // Escape residents stay in escape VCs (Duato).
+                    (VcClass::Escape(_), Some(esc)) if esc(u, d).contains(ch.dir) => {
+                        g.push_edges(&mut out, &mut seen, v, esc(v, d), VcClass::Escape(vnet));
+                    }
+                    _ => {}
                 }
             }
             for &b in &out {
@@ -332,6 +237,22 @@ impl Cdg {
             }
             g.succ[a] = out;
         }
+
+        // Duato requestability, checked rather than assumed: toward every
+        // other live router, every live router offers a blocked packet at
+        // least one escape direction, and only directions over live links
+        // (each of which carries an escape channel).
+        g.escape_requestable = escape.is_some_and(|esc| {
+            routers.iter().zip(&live_dirs).all(|(&u, &live)| {
+                routers.iter().all(|&d| {
+                    u == d || {
+                        let dirs = esc(u, d);
+                        let on_live_links = |dir: &Direction| live & (1 << dir.index()) != 0;
+                        !dirs.is_empty() && dirs.as_slice().iter().all(on_live_links)
+                    }
+                })
+            })
+        });
         g
     }
 
@@ -410,6 +331,12 @@ impl Cdg {
         &self.channels
     }
 
+    /// True when an escape layer exists and a blocked packet can always
+    /// *request* one of its channels (Duato's requestability).
+    pub(crate) fn escape_always_requestable(&self) -> bool {
+        self.escape_requestable
+    }
+
     /// True if some edge leaves an escape channel for a normal channel —
     /// forbidden by Duato's condition and by construction; checked as a
     /// structural self-test.
@@ -423,21 +350,49 @@ impl Cdg {
     }
 }
 
-/// The candidate set the simulator uses on a degraded mesh: route-mask
-/// candidates intersected with the base algorithm's productive set, falling
-/// back to the mask alone when the intersection is empty (the detour case).
-/// Mirrors `noc_sim::router::route_compute` exactly.
-fn masked_dirs(normal: BaseRouting, mask: &RouteMask, u: Coord, d: Coord) -> Candidates {
-    let masked = mask.candidates(u, d);
-    let both: Candidates = candidates(normal, u, d)
-        .as_slice()
-        .iter()
-        .copied()
-        .filter(|dir| masked.contains(*dir))
-        .collect();
-    if both.is_empty() {
-        masked
-    } else {
-        both
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    type Key = (u8, u8, usize, VcClass);
+
+    fn key(ch: Channel) -> Key {
+        (ch.from.x, ch.from.y, ch.dir.index(), ch.class)
+    }
+
+    /// The channel set and edge set, independent of insertion order.
+    fn sets(g: &Cdg) -> (BTreeSet<Key>, BTreeSet<(Key, Key)>) {
+        let channels = g.channels().iter().map(|&c| key(c)).collect();
+        let edges = (0..g.channel_count())
+            .flat_map(|a| {
+                g.successors(a)
+                    .iter()
+                    .map(move |&b| (key(g.channel(a)), key(g.channel(b))))
+            })
+            .collect();
+        (channels, edges)
+    }
+
+    /// On a fully alive mesh the route masks are the routing functions
+    /// (DESIGN.md §9): the masked relation's CDG is the healthy one.
+    #[test]
+    fn masked_relation_on_a_live_mesh_is_the_healthy_relation() {
+        for row in crate::matrix::all_configs() {
+            let cfg = &row.cfg;
+            let dead = DeadSet::all_alive(cfg.num_nodes());
+            let mask = RouteMask::build(cfg.cols, cfg.rows, &dead).expect("live mesh routes");
+            let wf = cfg.routing.has_escape().then(|| {
+                RouteMask::build_west_first(cfg.cols, cfg.rows, &dead).expect("live mesh routes")
+            });
+            let masked = Cdg::build_degraded(cfg, &dead, &mask, wf.as_ref());
+            let healthy = Cdg::build(cfg);
+            assert_eq!(sets(&masked), sets(&healthy), "{}", row.why);
+            assert_eq!(masked.edge_count(), healthy.edge_count());
+            assert_eq!(
+                masked.escape_always_requestable(),
+                healthy.escape_always_requestable()
+            );
+        }
     }
 }

@@ -9,283 +9,97 @@
 //! questions, in order:
 //!
 //! 1. **Is every pair still routable?** If the dead set disconnects the
-//!    live mesh, the configuration is [`DegradedVerdict::Unroutable`] and
+//!    live mesh, the configuration is [`RoutingVerdict::Unroutable`] and
 //!    the sweep runner must skip it (the simulator would panic at
 //!    construction).
 //! 2. **Does the escape layer survive?** West-first cannot detour, so an
 //!    escape-VC configuration whose required west-first path crosses a dead
-//!    link is [`DegradedVerdict::EscapeSevered`]: routable, but the Duato
+//!    link is [`RoutingVerdict::EscapeSevered`]: routable, but the Duato
 //!    certificate is gone.
-//! 3. **Is the degraded CDG still acyclic / Duato-certifiable?** The masked
-//!    routing admits detour turns the healthy algorithm forbade, so e.g. XY
-//!    with a dead link generally *loses* its acyclicity certificate — an
-//!    honest downgrade: on a degraded mesh, deadlock freedom must come from
-//!    a recovery mechanism (the paper's point), not the routing function.
+//! 3. **Is the degraded CDG still acyclic / Duato-certifiable?** The
+//!    healthy mesh's pipeline answers this, on the CDG of the masked
+//!    relation. The masked routing admits detour turns the healthy
+//!    algorithm forbade, so e.g. XY with a dead link generally *loses* its
+//!    acyclicity certificate — an honest downgrade: on a degraded mesh,
+//!    deadlock freedom must come from a recovery mechanism (the paper's
+//!    point), not the routing function.
 
 use crate::cdg::Cdg;
-use crate::scc;
-use crate::witness::Witness;
-use crate::{escape_subgraph, CdgGraph, ProtocolVerdict, RoutingVerdict};
+use crate::{describe_config, judge, protocol, DeadHardware, Report, RoutingVerdict};
 use noc_sim::fault::{DeadSet, RouteMask};
-use noc_types::{Direction, NetConfig, NodeId};
-
-/// Routing-level verdict for one configuration on its degraded mesh.
-#[derive(Clone, Debug)]
-pub enum DegradedVerdict {
-    /// The dead set disconnects the live mesh: `src` cannot reach `dest`.
-    /// The configuration cannot run at all.
-    Unroutable { src: NodeId, dest: NodeId },
-    /// Every pair is routable, but the west-first escape layer is not:
-    /// `src` has no live west-first path to `dest`. Escape-VC
-    /// configurations lose their Duato certificate.
-    EscapeSevered { src: NodeId, dest: NodeId },
-    /// The degraded CDG is acyclic.
-    CertifiedAcyclic { channels: usize, edges: usize },
-    /// The degraded CDG has cycles among regular VCs, but the (surviving)
-    /// escape subnetwork satisfies Duato's condition.
-    CertifiedEscape {
-        channels: usize,
-        edges: usize,
-        escape_channels: usize,
-    },
-    /// No certificate: a concrete cyclic wait exists on the degraded mesh.
-    Deadlockable {
-        witness: Witness,
-        channels: usize,
-        edges: usize,
-    },
-}
-
-impl DegradedVerdict {
-    /// True only for the two certificate variants.
-    pub fn certified(&self) -> bool {
-        matches!(
-            self,
-            DegradedVerdict::CertifiedAcyclic { .. } | DegradedVerdict::CertifiedEscape { .. }
-        )
-    }
-
-    /// True when the configuration can run at all (every pair routable).
-    pub fn routable(&self) -> bool {
-        !matches!(self, DegradedVerdict::Unroutable { .. })
-    }
-}
-
-/// Certification report for one configuration on its degraded mesh.
-#[derive(Clone, Debug)]
-pub struct DegradedReport {
-    /// One-line description of the analysed configuration.
-    pub config: String,
-    /// Dead physical links (each named once from its west/north endpoint).
-    pub dead_links: Vec<(NodeId, Direction)>,
-    /// Dead routers.
-    pub dead_routers: Vec<NodeId>,
-    /// Routing-level verdict on the degraded mesh.
-    pub verdict: DegradedVerdict,
-    /// Protocol-level verdict (unchanged by link faults: classes and `VNets`
-    /// are a property of the protocol, not the topology).
-    pub protocol: ProtocolVerdict,
-}
-
-impl DegradedReport {
-    /// True when both layers are certified on the degraded mesh.
-    pub fn certified(&self) -> bool {
-        self.verdict.certified() && self.protocol.certified()
-    }
-
-    /// Human-readable multi-line report.
-    pub fn render(&self) -> String {
-        let mut s = format!("config: {}\n", self.config);
-        let links: Vec<String> = self
-            .dead_links
-            .iter()
-            .map(|(n, d)| format!("{}→{d}", n.0))
-            .collect();
-        let routers: Vec<String> = self.dead_routers.iter().map(|n| n.0.to_string()).collect();
-        s.push_str(&format!(
-            "faults: {} dead link(s) [{}], {} dead router(s) [{}]\n",
-            links.len(),
-            links.join(", "),
-            routers.len(),
-            routers.join(", ")
-        ));
-        match &self.verdict {
-            DegradedVerdict::Unroutable { src, dest } => {
-                s.push_str(&format!(
-                    "degraded routing: UNROUTABLE — node {} cannot reach node {} \
-                     on the live mesh\n",
-                    src.0, dest.0
-                ));
-            }
-            DegradedVerdict::EscapeSevered { src, dest } => {
-                s.push_str(&format!(
-                    "degraded routing: ESCAPE SEVERED — no live west-first path \
-                     from node {} to node {}; the Duato escape certificate is void\n",
-                    src.0, dest.0
-                ));
-            }
-            DegradedVerdict::CertifiedAcyclic { channels, edges } => {
-                s.push_str(&format!(
-                    "degraded routing: CERTIFIED deadlock-free — degraded CDG acyclic \
-                     ({channels} channels, {edges} dependencies)\n"
-                ));
-            }
-            DegradedVerdict::CertifiedEscape {
-                channels,
-                edges,
-                escape_channels,
-            } => {
-                s.push_str(&format!(
-                    "degraded routing: CERTIFIED deadlock-free — Duato escape condition \
-                     holds on the degraded mesh ({channels} channels, {edges} \
-                     dependencies; escape subnetwork of {escape_channels} channels)\n"
-                ));
-            }
-            DegradedVerdict::Deadlockable {
-                witness,
-                channels,
-                edges,
-            } => {
-                s.push_str(&format!(
-                    "degraded routing: NOT certifiable — minimal cyclic witness of \
-                     {} channels (degraded CDG: {channels} channels, {edges} \
-                     dependencies); deadlock freedom must come from a recovery \
-                     mechanism\n",
-                    witness.cycle.len()
-                ));
-                s.push_str(&witness.describe());
-                s.push_str(&witness.render_ascii());
-            }
-        }
-        s.push_str(&crate::render_protocol(&self.protocol));
-        s.push_str(if self.certified() {
-            "verdict: CERTIFIED DEADLOCK-FREE (degraded)\n"
-        } else {
-            "verdict: NOT CERTIFIED (degraded)\n"
-        });
-        s
-    }
-}
+use noc_types::{NetConfig, NodeId};
 
 /// Resolves `cfg`'s permanent faults, checks routability of the live mesh,
-/// and certifies the degraded channel dependency graph. With no permanent
-/// faults this reduces exactly to [`crate::certify`] (same CDG, verdict
-/// mapped onto [`DegradedVerdict`]).
-pub fn certify_degraded(cfg: &NetConfig) -> DegradedReport {
+/// and certifies the masked routing relation's channel dependency graph.
+/// With no permanent faults this is [`crate::certify`] — same CDG, same
+/// verdict — reported as a degraded mesh with nothing dead.
+pub fn certify_degraded(cfg: &NetConfig) -> Report {
     if !cfg.fault.has_permanent() {
-        let report = crate::certify(cfg);
-        let verdict = match report.routing {
-            RoutingVerdict::CertifiedAcyclic { channels, edges } => {
-                DegradedVerdict::CertifiedAcyclic { channels, edges }
-            }
-            RoutingVerdict::CertifiedEscape {
-                channels,
-                edges,
-                escape_channels,
-            } => DegradedVerdict::CertifiedEscape {
-                channels,
-                edges,
-                escape_channels,
-            },
-            RoutingVerdict::Deadlockable {
-                witness,
-                channels,
-                edges,
-            } => DegradedVerdict::Deadlockable {
-                witness,
-                channels,
-                edges,
-            },
-        };
-        return DegradedReport {
-            config: report.config,
-            dead_links: Vec::new(),
-            dead_routers: Vec::new(),
-            verdict,
-            protocol: report.protocol,
+        return Report {
+            dead: Some(DeadHardware::default()),
+            ..crate::certify(cfg)
         };
     }
-
     let dead = DeadSet::resolve(cfg);
     let (cols, rows) = (cfg.cols, cfg.rows);
-    let dead_links = dead.dead_link_list(cols, rows);
-    let dead_routers: Vec<NodeId> = (0..cfg.num_nodes())
-        .filter(|&i| dead.router_dead(i))
-        .map(|i| NodeId(i as u16))
-        .collect();
+    let hardware = DeadHardware {
+        links: dead.dead_link_list(cols, rows),
+        routers: (0..cfg.num_nodes())
+            .filter(|&i| dead.router_dead(i))
+            .map(|i| NodeId(i as u16))
+            .collect(),
+    };
     let config = format!(
         "{} + {} dead link(s), {} dead router(s)",
-        crate::describe_config(cfg),
-        dead_links.len(),
-        dead_routers.len()
+        describe_config(cfg),
+        hardware.links.len(),
+        hardware.routers.len()
     );
-    let protocol = crate::protocol::analyze(cfg);
-    let done = |verdict| DegradedReport {
-        config: config.clone(),
-        dead_links: dead_links.clone(),
-        dead_routers: dead_routers.clone(),
-        verdict,
-        protocol: protocol.clone(),
-    };
-
-    let mask = match RouteMask::build(cols, rows, &dead) {
-        Ok(m) => m,
-        Err(u) => {
-            return done(DegradedVerdict::Unroutable {
-                src: u.src,
-                dest: u.dest,
-            })
+    let routing = match RouteMask::build(cols, rows, &dead) {
+        Err(u) => RoutingVerdict::Unroutable {
+            src: u.src,
+            dest: u.dest,
+        },
+        Ok(mask) => {
+            // The escape layer survives only if west-first still reaches
+            // everywhere over live links; since west-first cannot detour, a
+            // severed path voids the Duato certificate (the config still
+            // *runs* — on regular VCs).
+            let (wf, severed) = if cfg.routing.has_escape() {
+                match RouteMask::build_west_first(cols, rows, &dead) {
+                    Ok(m) => (Some(m), None),
+                    Err(u) => (None, Some(u)),
+                }
+            } else {
+                (None, None)
+            };
+            judge(
+                cfg,
+                &Cdg::build_degraded(cfg, &dead, &mask, wf.as_ref()),
+                severed,
+            )
         }
     };
-    // The escape layer survives only if west-first still reaches everywhere
-    // over live links; since west-first cannot detour, a severed path voids
-    // the Duato certificate (the config still *runs* — on regular VCs).
-    let (wf, severed) = if cfg.routing.has_escape() {
-        match RouteMask::build_west_first(cols, rows, &dead) {
-            Ok(m) => (Some(m), None),
-            Err(u) => (None, Some((u.src, u.dest))),
-        }
-    } else {
-        (None, None)
-    };
-
-    let cdg = Cdg::build_degraded(cfg, &dead, &mask, wf.as_ref());
-    let g = CdgGraph(&cdg);
-    let channels = cdg.channel_count();
-    let edges = cdg.edge_count();
-
-    let verdict = if !scc::has_cycle(&g) {
-        DegradedVerdict::CertifiedAcyclic { channels, edges }
-    } else if let Some((src, dest)) = severed {
-        DegradedVerdict::EscapeSevered { src, dest }
-    } else if wf.is_some()
-        && !cdg.escape_leaks_to_normal()
-        && !scc::has_cycle(&escape_subgraph(&cdg))
-    {
-        DegradedVerdict::CertifiedEscape {
-            channels,
-            edges,
-            escape_channels: cdg.escape_channel_ids().len(),
-        }
-    } else {
-        let cycle_ids = scc::minimal_cycle(&g).expect("cyclic CDG must yield a minimal cycle");
-        DegradedVerdict::Deadlockable {
-            witness: Witness {
-                cycle: cycle_ids.into_iter().map(|i| cdg.channel(i)).collect(),
-                cols,
-                rows,
-            },
-            channels,
-            edges,
-        }
-    };
-    done(verdict)
+    Report {
+        config,
+        dead: Some(hardware),
+        routing,
+        protocol: protocol::analyze(cfg),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_types::{BaseRouting, FaultConfig, RoutingAlgo};
+    use crate::Witness;
+    use noc_types::{BaseRouting, Direction, FaultConfig, RoutingAlgo};
+
+    fn dead(report: &Report) -> &DeadHardware {
+        report
+            .dead
+            .as_ref()
+            .expect("a degraded report names what is dead")
+    }
 
     fn cfg(routing: RoutingAlgo, fault: FaultConfig) -> NetConfig {
         NetConfig::synth(4, 4)
@@ -300,10 +114,10 @@ mod tests {
             FaultConfig::transient(0.01),
         );
         let report = certify_degraded(&healthy);
-        assert!(report.dead_links.is_empty());
+        assert!(dead(&report).links.is_empty());
         assert!(matches!(
-            report.verdict,
-            DegradedVerdict::CertifiedAcyclic { .. }
+            report.routing,
+            RoutingVerdict::CertifiedAcyclic { .. }
         ));
         assert!(report.certified());
     }
@@ -317,8 +131,8 @@ mod tests {
                 (NodeId(0), Direction::South),
             ]),
         ));
-        match report.verdict {
-            DegradedVerdict::Unroutable { src, dest } => {
+        match report.routing {
+            RoutingVerdict::Unroutable { src, dest } => {
                 assert!(src == NodeId(0) || dest == NodeId(0));
             }
             other => panic!("expected Unroutable, got {other:?}"),
@@ -336,11 +150,11 @@ mod tests {
             FaultConfig::default().with_dead_links(vec![(NodeId(1), Direction::East)]),
         ));
         assert!(
-            matches!(report.verdict, DegradedVerdict::EscapeSevered { .. }),
+            matches!(report.routing, RoutingVerdict::EscapeSevered { .. }),
             "got {:?}",
-            report.verdict
+            report.routing
         );
-        assert!(report.verdict.routable(), "mesh is still connected");
+        assert!(report.routing.routable(), "mesh is still connected");
         assert!(!report.certified());
     }
 
@@ -350,14 +164,14 @@ mod tests {
             RoutingAlgo::Uniform(BaseRouting::AdaptiveMinimal),
             FaultConfig::default().with_dead_links(vec![(NodeId(5), Direction::East)]),
         ));
-        match &report.verdict {
-            DegradedVerdict::Deadlockable { witness, .. } => {
+        match &report.routing {
+            RoutingVerdict::Deadlockable { witness, .. } => {
                 assert!(witness.cycle.len() >= 2);
             }
             other => panic!("expected Deadlockable, got {other:?}"),
         }
         // The report names the dead link.
-        assert_eq!(report.dead_links, vec![(NodeId(5), Direction::East)]);
+        assert_eq!(dead(&report).links, vec![(NodeId(5), Direction::East)]);
         assert!(report.render().contains("NOT certifiable"));
     }
 
@@ -367,10 +181,10 @@ mod tests {
             RoutingAlgo::Uniform(BaseRouting::AdaptiveMinimal),
             FaultConfig::default().with_dead_routers(vec![NodeId(5)]),
         ));
-        assert!(report.verdict.routable(), "got {:?}", report.verdict);
-        assert_eq!(report.dead_routers, vec![NodeId(5)]);
+        assert!(report.routing.routable(), "got {:?}", report.routing);
+        assert_eq!(dead(&report).routers, vec![NodeId(5)]);
         // All four of the router's links are dead with it.
-        assert_eq!(report.dead_links.len(), 4);
+        assert_eq!(dead(&report).links.len(), 4);
     }
 
     #[test]
@@ -392,5 +206,70 @@ mod tests {
         // direction, times one vnet).
         let healthy = Cdg::build(&c);
         assert_eq!(healthy.channel_count(), cdg.channel_count() + 2);
+    }
+
+    /// The comparable shape of a verdict: variant, CDG size and witness.
+    fn shape(v: &RoutingVerdict) -> (&'static str, usize, usize, Option<&Witness>) {
+        match v {
+            RoutingVerdict::CertifiedAcyclic { channels, edges } => {
+                ("acyclic", *channels, *edges, None)
+            }
+            RoutingVerdict::CertifiedEscape {
+                channels, edges, ..
+            } => ("escape", *channels, *edges, None),
+            RoutingVerdict::Deadlockable {
+                witness,
+                channels,
+                edges,
+            } => ("deadlockable", *channels, *edges, Some(witness)),
+            other => panic!("a healthy mesh cannot be {other:?}"),
+        }
+    }
+
+    #[test]
+    fn healthy_and_faultless_degraded_certificates_agree_on_the_matrix() {
+        for row in crate::matrix::all_configs() {
+            let healthy = crate::certify(&row.cfg);
+            let degraded =
+                certify_degraded(&row.cfg.clone().with_fault(FaultConfig::transient(0.01)));
+            let (h, d) = (shape(&healthy.routing), shape(&degraded.routing));
+            assert_eq!((h.0, h.1, h.2), (d.0, d.1, d.2), "{}", healthy.config);
+            assert_eq!(
+                h.3.map(|w| (&w.cycle, w.cols, w.rows)),
+                d.3.map(|w| (&w.cycle, w.cols, w.rows)),
+                "{}: witnesses differ",
+                healthy.config
+            );
+            assert!(healthy.dead.is_none());
+            assert!(dead(&degraded).links.is_empty() && dead(&degraded).routers.is_empty());
+        }
+    }
+
+    /// The one Duato check: a degraded mesh, like the healthy one, needs a
+    /// regular VC beside the escape VC. A dead corner router leaves
+    /// west-first routable, so only the VC count decides.
+    #[test]
+    fn degraded_duato_needs_a_regular_vc_beside_the_escape_vc() {
+        let escape = RoutingAlgo::EscapeVc {
+            normal: BaseRouting::AdaptiveMinimal,
+        };
+        let corner = |vcs| {
+            NetConfig::synth(4, vcs)
+                .with_routing(escape)
+                .with_fault(FaultConfig::default().with_dead_routers(vec![NodeId(3)]))
+        };
+        let two = certify_degraded(&corner(2));
+        assert!(
+            matches!(two.routing, RoutingVerdict::CertifiedEscape { .. }),
+            "{}",
+            two.render()
+        );
+        let one = certify_degraded(&corner(1));
+        assert!(
+            matches!(one.routing, RoutingVerdict::Deadlockable { .. }),
+            "{}",
+            one.render()
+        );
+        assert!(!crate::certify(&NetConfig::synth(4, 1).with_routing(escape)).certified());
     }
 }

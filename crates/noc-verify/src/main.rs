@@ -200,6 +200,9 @@ fn parse_args() -> Result<Args, String> {
     if args.vnets == 0 || args.vcs == 0 {
         return Err("--vnets and --vcs must be at least 1".into());
     }
+    // Off-mesh links and routers, or more random kills than links, are
+    // argument errors here, not panics inside the certifier.
+    args.fault.validate(args.cols, args.rows)?;
     Ok(args)
 }
 
@@ -274,15 +277,13 @@ fn main() {
         run_all_configs()
     } else {
         let cfg = config_of(&args);
-        let mut failed = if args.fault.has_permanent() {
-            let report = certify_degraded(&cfg);
-            print!("{}", report.render());
-            !report.certified()
+        let report = if args.fault.has_permanent() {
+            certify_degraded(&cfg)
         } else {
-            let report = certify(&cfg);
-            print!("{}", report.render());
-            !report.certified()
+            certify(&cfg)
         };
+        print!("{}", report.render());
+        let mut failed = !report.certified();
         if args.recovery.is_some() {
             let report = certify_recovery(&cfg);
             print!("{}", report.render());

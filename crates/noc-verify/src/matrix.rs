@@ -183,4 +183,16 @@ mod tests {
         assert!(cross_check(&deadlockable, ReachVerdict::WedgeReachable).is_ok());
         assert!(cross_check(&deadlockable, ReachVerdict::NoReachableWedge).is_err());
     }
+
+    #[test]
+    fn cross_check_accepts_a_degraded_verdict() {
+        use noc_types::{Direction, FaultConfig, NodeId};
+        let cfg = NetConfig::synth(4, 4)
+            .with_routing(RoutingAlgo::Uniform(BaseRouting::AdaptiveMinimal))
+            .with_fault(FaultConfig::default().with_dead_links(vec![(NodeId(5), Direction::East)]));
+        let routing = crate::certify_degraded(&cfg).routing;
+        assert!(matches!(routing, RoutingVerdict::Deadlockable { .. }));
+        assert!(cross_check(&routing, ReachVerdict::WedgeReachable).is_ok());
+        assert!(cross_check(&routing, ReachVerdict::NoReachableWedge).is_err());
+    }
 }

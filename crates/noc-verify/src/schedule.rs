@@ -13,7 +13,7 @@
 //! as a synthetic static [`noc_types::FaultConfig`] and pushed through
 //! [`crate::certify_degraded`].
 
-use crate::degraded::{certify_degraded, DegradedReport, DegradedVerdict};
+use crate::{certify_degraded, Report, RoutingVerdict};
 use noc_types::{Direction, FaultAction, NetConfig, NodeId};
 
 /// The certification of one epoch of a fault schedule.
@@ -25,25 +25,25 @@ pub struct EpochCertification {
     /// `EpochRecord::action` format: `cycle:code:node[:dir]`).
     pub action: String,
     /// Full degraded-mesh certification of the post-event topology.
-    pub report: DegradedReport,
+    pub report: Report,
 }
 
 impl EpochCertification {
     /// Compact verdict tag for trace rows: `acyclic`, `escape`,
     /// `escape-severed`, `deadlockable`, or `unroutable`.
     pub fn short_verdict(&self) -> &'static str {
-        short_verdict(&self.report.verdict)
+        short_verdict(&self.report.routing)
     }
 }
 
-/// Compact tag for a [`DegradedVerdict`].
-pub fn short_verdict(v: &DegradedVerdict) -> &'static str {
+/// Compact tag for a [`RoutingVerdict`].
+pub fn short_verdict(v: &RoutingVerdict) -> &'static str {
     match v {
-        DegradedVerdict::Unroutable { .. } => "unroutable",
-        DegradedVerdict::EscapeSevered { .. } => "escape-severed",
-        DegradedVerdict::CertifiedAcyclic { .. } => "acyclic",
-        DegradedVerdict::CertifiedEscape { .. } => "escape",
-        DegradedVerdict::Deadlockable { .. } => "deadlockable",
+        RoutingVerdict::Unroutable { .. } => "unroutable",
+        RoutingVerdict::EscapeSevered { .. } => "escape-severed",
+        RoutingVerdict::CertifiedAcyclic { .. } => "acyclic",
+        RoutingVerdict::CertifiedEscape { .. } => "escape",
+        RoutingVerdict::Deadlockable { .. } => "deadlockable",
     }
 }
 
@@ -53,7 +53,7 @@ pub fn short_verdict(v: &DegradedVerdict) -> &'static str {
 /// validation against the mesh.
 ///
 /// Epochs whose topology cannot run at all report
-/// [`DegradedVerdict::Unroutable`] rather than erroring: a schedule is
+/// [`RoutingVerdict::Unroutable`] rather than erroring: a schedule is
 /// allowed to partition the mesh mid-run (the engine's partial mask and
 /// stranded purge handle it), and the harness wants that fact in the trace.
 pub fn certify_schedule(cfg: &NetConfig) -> Result<Vec<EpochCertification>, String> {
@@ -130,6 +130,14 @@ mod tests {
     use super::*;
     use noc_types::{BaseRouting, FaultConfig, FaultSchedule, RoutingAlgo};
 
+    fn dead(epoch: &EpochCertification) -> &crate::DeadHardware {
+        epoch
+            .report
+            .dead
+            .as_ref()
+            .expect("epochs are degraded reports")
+    }
+
     fn base(routing: RoutingAlgo) -> NetConfig {
         NetConfig::synth(4, 4).with_routing(routing)
     }
@@ -152,7 +160,7 @@ mod tests {
         assert_eq!(epochs[0].short_verdict(), "deadlockable");
         // ...and the heal restores the healthy acyclic certificate exactly.
         assert_eq!(epochs[1].short_verdict(), "acyclic");
-        assert!(epochs[1].report.dead_links.is_empty());
+        assert!(dead(&epochs[1]).links.is_empty());
     }
 
     #[test]
@@ -171,11 +179,11 @@ mod tests {
         );
         let epochs = certify_schedule(&cfg).unwrap();
         assert_eq!(epochs.len(), 2);
-        assert_eq!(epochs[0].report.dead_routers, vec![NodeId(5)]);
-        assert_eq!(epochs[0].report.dead_links.len(), 4);
-        assert!(epochs[0].report.verdict.routable());
-        assert!(epochs[1].report.dead_routers.is_empty());
-        assert!(epochs[1].report.dead_links.is_empty());
+        assert_eq!(dead(&epochs[0]).routers, vec![NodeId(5)]);
+        assert_eq!(dead(&epochs[0]).links.len(), 4);
+        assert!(epochs[0].report.routing.routable());
+        assert!(dead(&epochs[1]).routers.is_empty());
+        assert!(dead(&epochs[1]).links.is_empty());
     }
 
     #[test]
@@ -200,9 +208,9 @@ mod tests {
         );
         let epochs = certify_schedule(&cfg).unwrap();
         assert_eq!(epochs.len(), 3);
-        assert!(epochs[0].report.verdict.routable());
+        assert!(epochs[0].report.routing.routable());
         assert_eq!(epochs[1].short_verdict(), "unroutable");
-        assert!(epochs[2].report.verdict.routable());
+        assert!(epochs[2].report.routing.routable());
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //!      `CertifiedEscape` (Duato) verdict again.
 
 use noc_types::{Coord, Direction, FaultConfig, NetConfig, NodeId};
-use noc_verify::{certify, certify_degraded, Cdg, DegradedVerdict, RoutingVerdict, Witness};
+use noc_verify::{certify, certify_degraded, Cdg, RoutingVerdict, Witness};
 use proptest::prelude::*;
 
 /// Maps each witness channel to its id in `cdg`, panicking (test failure)
@@ -125,10 +125,10 @@ fn degraded_witness_is_minimal_in_the_degraded_cdg() {
     let cfg = NetConfig::synth(k, 1)
         .with_fault(FaultConfig::default().with_dead_links(vec![(NodeId(5), Direction::East)]));
     let report = certify_degraded(&cfg);
-    let DegradedVerdict::Deadlockable { witness, .. } = &report.verdict else {
+    let RoutingVerdict::Deadlockable { witness, .. } = &report.routing else {
         panic!(
             "adaptive 4x4 with one dead link should stay deadlockable, got {:?}",
-            report.verdict
+            report.routing
         );
     };
     let dead = DeadSet::resolve(&cfg);
@@ -174,7 +174,7 @@ proptest! {
             .with_fault(FaultConfig::default().with_dead_links(links));
         prop_assert!(cfg.fault.validate(k, k).is_ok());
         let report = certify_degraded(&cfg);
-        if let DegradedVerdict::Deadlockable { witness, .. } = &report.verdict {
+        if let RoutingVerdict::Deadlockable { witness, .. } = &report.routing {
             // The witness channels must at least live on the mesh; the
             // full chordless check needs the degraded CDG, which is not
             // re-exported — closedness is checked structurally instead.
@@ -211,7 +211,7 @@ proptest! {
             let cfg = NetConfig::synth(k, 1)
                 .with_routing(routing)
                 .with_fault(FaultConfig::default().with_dead_links(links[..prefix].to_vec()));
-            let routable = certify_degraded(&cfg).verdict.routable();
+            let routable = certify_degraded(&cfg).routing.routable();
             if lost_routability {
                 prop_assert!(
                     !routable,
@@ -240,17 +240,17 @@ proptest! {
             let cfg = NetConfig::synth(k, 2)
                 .with_routing(routing)
                 .with_fault(FaultConfig::default().with_dead_links(links[..prefix].to_vec()));
-            let verdict = certify_degraded(&cfg).verdict;
+            let verdict = certify_degraded(&cfg).routing;
             if severed {
                 prop_assert!(
-                    !matches!(verdict, DegradedVerdict::CertifiedEscape { .. }),
+                    !matches!(verdict, RoutingVerdict::CertifiedEscape { .. }),
                     "Duato certificate returned after the escape layer was severed"
                 );
             }
             severed = severed
                 || matches!(
                     verdict,
-                    DegradedVerdict::EscapeSevered { .. } | DegradedVerdict::Unroutable { .. }
+                    RoutingVerdict::EscapeSevered { .. } | RoutingVerdict::Unroutable { .. }
                 );
         }
     }
