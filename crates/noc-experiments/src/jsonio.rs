@@ -1,8 +1,8 @@
 //! Minimal hand-rolled JSON for checkpoint rows (`results/*.ckpt.jsonl`)
 //! and watchdog black-box dumps (`results/blackbox_*.json`).
 //!
-//! The workspace's `serde` is a no-op compatibility marker, so the sweep
-//! runner writes and re-reads its own JSON. Checkpoint rows are *flat*
+//! The workspace has no serialization dependency, so the sweep runner
+//! writes and re-reads its own JSON. Checkpoint rows are *flat*
 //! single-line objects (strings, numbers, booleans) handled by
 //! [`parse_flat`]; the parser is deliberately tolerant — an unparseable
 //! line in a checkpoint (e.g. a torn write from a killed process) is

@@ -6,7 +6,6 @@
 //! and SEEC 1 VC. mSEEC adds no router complexity over SEEC (footnote 3).
 
 use noc_types::{NetConfig, SchemeKind, NUM_PORTS};
-use serde::Serialize;
 
 /// Area units: one unit ≈ one bit-cell of SRAM-based buffering; logic
 /// components are expressed in the same unit via published relative sizes.
@@ -35,7 +34,7 @@ const MINBD_SIDE_FLITS: f64 = 4.0;
 const DEFLECT_LOGIC: f64 = 900.0;
 
 /// Component-level router area.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct AreaBreakdown {
     pub scheme: SchemeKind,
     /// VCs per input port this scheme needs for correctness.

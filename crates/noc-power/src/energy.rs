@@ -7,7 +7,6 @@
 
 use noc_sim::stats::{Stats, ACTIVITY_WINDOW};
 use noc_types::NetConfig;
-use serde::Serialize;
 
 /// Energy per bit per link traversal (arbitrary units; only ratios matter).
 const E_BIT_LINK: f64 = 1.0;
@@ -21,7 +20,7 @@ const SEEKER_BITS: f64 = 16.0;
 const LOOKAHEAD_BITS: f64 = 10.0;
 
 /// Energy totals for one run.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct EnergyReport {
     /// Total data-link energy over the measurement phase.
     pub link_total: f64,
@@ -34,7 +33,6 @@ pub struct EnergyReport {
     /// Buffer read/write energy (TFC bypasses credited).
     pub buffer_total: f64,
     /// Measurement-phase length.
-    #[serde(skip)]
     cycles: f64,
 }
 

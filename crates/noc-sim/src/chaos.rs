@@ -27,6 +27,11 @@
 //! * **Heal router** — the router and every link of it that is not
 //!   independently down (and whose far endpoint is alive) come back.
 //!
+//! What each event leaves dead is not decided here: it is the epoch's dead
+//! set from `FaultConfig::epochs`, the walk the validator and the certifier
+//! read too. Applying an event diffs the live dead set against it — newly
+//! dead links are drain-cut, newly live links revived.
+//!
 //! After every event the mask is rebuilt *partially*
 //! ([`RouteMask::build_partial`]): a mid-run kill may legitimately
 //! disconnect pairs. While any pair is disconnected (or any router is dead)
@@ -42,13 +47,14 @@
 //! and nothing here touches any RNG — chaos runs are bit-identical across
 //! `NOC_THREADS` settings like every other run.
 
-use crate::fault::RouteMask;
+use crate::fault::{DeadSet, RouteMask};
 use crate::network::Network;
-use noc_types::{Cycle, Direction, FaultAction, FaultEvent, NetConfig, NodeId};
+use noc_types::{Cycle, Direction, Epoch, FaultAction, NodeId};
 
 /// A kill whose wiring cut is still waiting for the link to drain.
 #[derive(Clone, Copy, Debug)]
 struct PendingCut {
+    /// The link, named once from its west/north endpoint.
     node: usize,
     dir: Direction,
     /// Index into `Stats::epochs` of the event that requested the cut.
@@ -59,18 +65,11 @@ struct PendingCut {
 /// [`FaultLayer::chaos`](crate::fault::FaultLayer) when the config carries
 /// one.
 pub struct ChaosState {
-    /// The merged (cycle-ordered) event timeline.
-    events: Vec<FaultEvent>,
-    /// Next event to apply.
+    /// The validated timeline: every event with the hardware dead after it
+    /// (`FaultConfig::epochs`).
+    epochs: Vec<Epoch>,
+    /// Next epoch to open.
     next_event: usize,
-    /// Links the schedule (or the initial config) killed *independently* of
-    /// any router death — healing an adjacent router must not revive them.
-    link_down: Vec<[bool; 4]>,
-    /// Routers currently down.
-    router_down: Vec<bool>,
-    /// Links whose wiring is currently severed (`neighbor` nulled). A kill
-    /// sets this only once the drain-cut completes; a heal clears it.
-    cut: Vec<[bool; 4]>,
     /// Kills still draining toward their cut.
     pending: Vec<PendingCut>,
     /// True while some live pair is unroutable or some router is down — the
@@ -81,46 +80,12 @@ pub struct ChaosState {
 }
 
 impl ChaosState {
-    /// Builds the schedule runtime over the construction-time dead set
-    /// (initially dead hardware is already cut by `Network::new`).
-    pub fn new(cfg: &NetConfig, dead: &crate::fault::DeadSet) -> ChaosState {
-        let n = cfg.num_nodes();
-        let (cols, rows) = (cfg.cols, cfg.rows);
-        let router_down: Vec<bool> = (0..n).map(|i| dead.router_dead(i)).collect();
-        let mut link_down = vec![[false; 4]; n];
-        let mut cut = vec![[false; 4]; n];
-        for (i, (ld, ct)) in link_down.iter_mut().zip(cut.iter_mut()).enumerate() {
-            let c = NodeId(i as u16).to_coord(cols);
-            for d in Direction::CARDINAL {
-                let Some(peer) = d.step(c, cols, rows) else {
-                    continue;
-                };
-                if dead.link_dead(i, d) {
-                    // Initially dead wiring is nulled at construction.
-                    ct[d.index()] = true;
-                    // Attribute the kill to the routers where possible; a
-                    // link listed explicitly *and* adjacent to a dead router
-                    // is treated as router-caused (healing the router
-                    // revives it — schedules needing finer control list the
-                    // link as a schedule kill instead).
-                    let peer_down = router_down[peer.to_node(cols).idx()];
-                    if !router_down[i] && !peer_down {
-                        ld[d.index()] = true;
-                    }
-                }
-            }
-        }
-        // Events fire in timeline order; the stable sort keeps same-cycle
-        // events in their authored order (validation already checked the
-        // kill/heal state machine against exactly this ordering).
-        let mut events = cfg.fault.schedule.events.clone();
-        events.sort_by_key(|e| e.at);
+    /// Builds the schedule runtime over the timeline of a `cols`×`rows`
+    /// mesh (initially dead hardware is already cut by `Network::new`).
+    pub fn new(epochs: Vec<Epoch>, cols: u8, rows: u8) -> ChaosState {
         ChaosState {
-            events,
+            epochs,
             next_event: 0,
-            link_down,
-            router_down,
-            cut,
             pending: Vec::new(),
             scan_stranded: false,
             cols,
@@ -131,7 +96,7 @@ impl ChaosState {
     /// Whether the schedule has been fully applied and every pending cut has
     /// completed (soak-harness stopping condition).
     pub fn settled(&self) -> bool {
-        self.next_event >= self.events.len() && self.pending.is_empty()
+        self.next_event >= self.epochs.len() && self.pending.is_empty()
     }
 
     /// Events applied so far.
@@ -151,9 +116,9 @@ impl ChaosState {
             return None;
         }
         Some(
-            self.events
+            self.epochs
                 .get(self.next_event)
-                .map_or(Cycle::MAX, |e| e.at),
+                .map_or(Cycle::MAX, |e| e.event.at),
         )
     }
 }
@@ -184,14 +149,13 @@ pub fn tick(net: &mut Network) {
     let now = net.cycle;
     let mut batch = 0usize;
     while chaos
-        .events
+        .epochs
         .get(chaos.next_event)
-        .is_some_and(|e| e.at <= now)
+        .is_some_and(|e| e.event.at <= now)
     {
-        let ev = chaos.events[chaos.next_event];
-        chaos.next_event += 1;
         let record = net.stats.epochs.len() + batch;
-        apply_event(&mut chaos, net, &ev, record);
+        apply_event(&mut chaos, net, record);
+        chaos.next_event += 1;
         batch += 1;
     }
     if batch > 0 {
@@ -199,92 +163,46 @@ pub fn tick(net: &mut Network) {
     }
     advance_cuts(&mut chaos, net);
     if chaos.scan_stranded {
-        purge_stranded(&chaos, net);
+        purge_stranded(net);
     }
     if let Some(fl) = &mut net.fault {
         fl.chaos = Some(chaos);
     }
 }
 
-/// Applies one schedule event to the dead set and the chaos bookkeeping
-/// (mask rebuild and epoch recording happen once per batch in `rebuild`;
-/// `record` is the `Stats::epochs` index this event's record will occupy).
-fn apply_event(chaos: &mut ChaosState, net: &mut Network, ev: &FaultEvent, record: usize) {
+/// Opens the next epoch: the live dead set becomes the epoch's, every link
+/// that is newly dead gets a drain-cut and every link that is newly live is
+/// revived (mask rebuild and epoch recording happen once per batch in
+/// `rebuild`; `record` is the `Stats::epochs` index this event's record will
+/// occupy).
+fn apply_event(chaos: &mut ChaosState, net: &mut Network, record: usize) {
     let (cols, rows) = (chaos.cols, chaos.rows);
+    let epoch = &chaos.epochs[chaos.next_event];
+    let st = &mut net.stats;
+    *match epoch.event.action {
+        FaultAction::KillLink(..) => &mut st.chaos_links_killed,
+        FaultAction::HealLink(..) => &mut st.chaos_links_healed,
+        FaultAction::KillRouter(_) => &mut st.chaos_routers_killed,
+        FaultAction::HealRouter(_) => &mut st.chaos_routers_healed,
+    } += 1;
     let fl = net
         .fault
         .as_mut()
         .expect("chaos ticks only with a fault layer");
-    match ev.action {
-        FaultAction::KillLink(node, d) => {
-            let i = node.idx();
-            chaos.link_down[i][d.index()] = true;
-            if let Some(peer) = d.step(node.to_coord(cols), cols, rows) {
-                chaos.link_down[peer.to_node(cols).idx()][d.opposite().index()] = true;
-            }
-            fl.dead.set_link(i, d, cols, rows, true);
-            net.stats.chaos_links_killed += 1;
-            chaos.pending.push(PendingCut {
-                node: i,
-                dir: d,
-                epoch: record,
-            });
-        }
-        FaultAction::HealLink(node, d) => {
-            let i = node.idx();
-            chaos.link_down[i][d.index()] = false;
-            if let Some(peer) = d.step(node.to_coord(cols), cols, rows) {
-                chaos.link_down[peer.to_node(cols).idx()][d.opposite().index()] = false;
-            }
-            fl.dead.set_link(i, d, cols, rows, false);
-            net.stats.chaos_links_healed += 1;
-            revive_link(chaos, net, i, d);
-        }
-        FaultAction::KillRouter(node) => {
-            let i = node.idx();
-            chaos.router_down[i] = true;
-            let fl = net.fault.as_mut().expect("fault layer present");
-            fl.dead.set_router(i, true);
-            net.stats.chaos_routers_killed += 1;
-            let c = node.to_coord(cols);
-            for d in Direction::CARDINAL {
-                if d.step(c, cols, rows).is_none() {
-                    continue;
-                }
-                let fl = net.fault.as_mut().expect("fault layer present");
-                if fl.dead.link_dead(i, d) {
-                    continue; // already down (independently or via the peer)
-                }
-                fl.dead.set_link(i, d, cols, rows, true);
-                chaos.pending.push(PendingCut {
-                    node: i,
-                    dir: d,
-                    epoch: record,
-                });
-            }
-        }
-        FaultAction::HealRouter(node) => {
-            let i = node.idx();
-            chaos.router_down[i] = false;
-            let fl = net.fault.as_mut().expect("fault layer present");
-            fl.dead.set_router(i, false);
-            net.stats.chaos_routers_healed += 1;
-            let c = node.to_coord(cols);
-            for d in Direction::CARDINAL {
-                let Some(peer) = d.step(c, cols, rows) else {
-                    continue;
-                };
-                let peer = peer.to_node(cols).idx();
-                // A link revives with its router unless it is independently
-                // down or its far endpoint is still a dead router.
-                if chaos.link_down[i][d.index()] || chaos.router_down[peer] {
-                    continue;
-                }
-                let fl = net.fault.as_mut().expect("fault layer present");
-                fl.dead.set_link(i, d, cols, rows, false);
-                revive_link(chaos, net, i, d);
-            }
-        }
+    let was = std::mem::replace(&mut fl.dead, DeadSet::resolve(cols, rows, &epoch.dead));
+    let (before, after) = (
+        was.dead_link_list(cols, rows),
+        fl.dead.dead_link_list(cols, rows),
+    );
+    for &(node, dir) in after.iter().filter(|l| !before.contains(l)) {
+        chaos.pending.push(PendingCut {
+            node: node.idx(),
+            dir,
+            epoch: record,
+        });
+    }
+    for &(node, dir) in before.iter().filter(|l| !after.contains(l)) {
+        revive_link(chaos, net, node.idx(), dir);
     }
 }
 
@@ -293,10 +211,8 @@ fn apply_event(chaos: &mut ChaosState, net: &mut Network, ev: &FaultEvent, recor
 /// geometry on both sides and resets the link-layer retransmission state to
 /// a fresh, generation-bumped sequence space.
 fn revive_link(chaos: &mut ChaosState, net: &mut Network, node: usize, d: Direction) {
-    chaos
-        .pending
-        .retain(|p| !same_link(p.node, p.dir, node, d, chaos.cols, chaos.rows));
-    if !chaos.cut[node][d.index()] {
+    chaos.pending.retain(|p| (p.node, p.dir) != (node, d));
+    if net.routers[node].outputs[d.index()].neighbor.is_some() {
         return; // never severed: the wiring (and protocol state) is intact
     }
     let peer = d
@@ -307,8 +223,6 @@ fn revive_link(chaos: &mut ChaosState, net: &mut Network, node: usize, d: Direct
         )
         .expect("validated schedules never heal off-mesh links")
         .to_node(chaos.cols);
-    chaos.cut[node][d.index()] = false;
-    chaos.cut[peer.idx()][d.opposite().index()] = false;
     net.routers[node].outputs[d.index()].neighbor = Some(peer);
     net.routers[peer.idx()].outputs[d.opposite().index()].neighbor = Some(NodeId(node as u16));
     if let Some(rt) = net.fault.as_mut().and_then(|f| f.retrans.as_mut()) {
@@ -316,17 +230,6 @@ fn revive_link(chaos: &mut ChaosState, net: &mut Network, node: usize, d: Direct
     }
     net.credit_touch(node);
     net.credit_touch(peer.idx());
-}
-
-/// Whether `(a, da)` and `(b, db)` name the same physical link.
-fn same_link(a: usize, da: Direction, b: usize, db: Direction, cols: u8, rows: u8) -> bool {
-    if a == b && da == db {
-        return true;
-    }
-    match da.step(NodeId(a as u16).to_coord(cols), cols, rows) {
-        Some(p) => p.to_node(cols).idx() == b && da.opposite() == db,
-        None => false,
-    }
 }
 
 /// Post-event reconfiguration: rebuild the routing mask (partially — kills
@@ -344,7 +247,8 @@ fn rebuild(chaos: &mut ChaosState, net: &mut Network, batch: usize) {
     let escape_ok =
         !net.cfg.routing.has_escape() || RouteMask::build_west_first(cols, rows, &fl.dead).is_ok();
     fl.mask = Some(mask);
-    chaos.scan_stranded = !routable || chaos.router_down.iter().any(|&r| r);
+    let last = &chaos.epochs[chaos.next_event - 1];
+    chaos.scan_stranded = !routable || !last.dead.dead_routers.is_empty();
     // Sticky (non-adaptive) port choices were computed against the old
     // topology; clear them so waiting heads re-route under the new mask.
     // Allocated routes (claims held) are left alone — claimed worms drain.
@@ -360,11 +264,10 @@ fn rebuild(chaos: &mut ChaosState, net: &mut Network, batch: usize) {
     net.credit_mark_all();
     // One epoch record per event applied this cycle (same-cycle events
     // share the rebuild; each gets its own trace row).
-    for k in 0..batch {
-        let ev = &chaos.events[chaos.next_event - batch + k];
+    for e in &chaos.epochs[chaos.next_event - batch..chaos.next_event] {
         net.stats.epochs.push(crate::stats::EpochRecord {
             cycle: now,
-            action: render_event(ev),
+            action: e.key.clone(),
             routable,
             escape_ok,
             purged_flits: 0,
@@ -373,17 +276,6 @@ fn rebuild(chaos: &mut ChaosState, net: &mut Network, batch: usize) {
         });
     }
     net.stats.chaos_epochs += batch as u64;
-}
-
-/// Canonical one-event rendering (matches `FaultSchedule::canonical`'s
-/// per-event form).
-fn render_event(ev: &FaultEvent) -> String {
-    match ev.action {
-        FaultAction::KillLink(n, d) => format!("{}:kl:{}:{}", ev.at, n.0, d.index()),
-        FaultAction::HealLink(n, d) => format!("{}:hl:{}:{}", ev.at, n.0, d.index()),
-        FaultAction::KillRouter(n) => format!("{}:kr:{}", ev.at, n.0),
-        FaultAction::HealRouter(n) => format!("{}:hr:{}", ev.at, n.0),
-    }
 }
 
 /// Severs the wiring of every pending kill whose link has gone quiet: no
@@ -400,11 +292,12 @@ fn advance_cuts(chaos: &mut ChaosState, net: &mut Network) {
     let mut k = 0;
     while k < chaos.pending.len() {
         let p = chaos.pending[k];
-        let Some(peer) = p.dir.step(NodeId(p.node as u16).to_coord(cols), cols, rows) else {
-            chaos.pending.swap_remove(k);
-            continue;
-        };
-        let peer = peer.to_node(cols).idx();
+        let peer = p
+            .dir
+            .step(NodeId(p.node as u16).to_coord(cols), cols, rows)
+            .expect("pending cuts name mesh links")
+            .to_node(cols)
+            .idx();
         let quiet = link_half_quiet(net, p.node, p.dir)
             && link_half_quiet(net, peer, p.dir.opposite())
             && net
@@ -418,8 +311,6 @@ fn advance_cuts(chaos: &mut ChaosState, net: &mut Network) {
         }
         net.routers[p.node].outputs[p.dir.index()].neighbor = None;
         net.routers[peer].outputs[p.dir.opposite().index()].neighbor = None;
-        chaos.cut[p.node][p.dir.index()] = true;
-        chaos.cut[peer][p.dir.opposite().index()] = true;
         net.credit_touch(p.node);
         net.credit_touch(peer);
         if let Some(rec) = net.stats.epochs.get_mut(p.epoch) {
@@ -444,9 +335,10 @@ fn link_half_quiet(net: &Network, node: usize, dir: Direction) -> bool {
 /// router), and complete packets sitting in the ejection VCs of dead
 /// routers. Purged flits are counted, attributed to the newest epoch, and
 /// recovered (or abandoned) by the end-to-end retransmission layer.
-fn purge_stranded(chaos: &ChaosState, net: &mut Network) {
+fn purge_stranded(net: &mut Network) {
     let now = net.cycle;
     let cols = net.cfg.cols;
+    let down = |net: &Network, i: usize| net.fault.as_ref().is_some_and(|f| f.dead.router_dead(i));
     let mut purged: u64 = 0;
     let n = net.routers.len();
     for i in 0..n {
@@ -461,11 +353,11 @@ fn purge_stranded(chaos: &ChaosState, net: &mut Network) {
                     continue;
                 }
                 let dest = front.dest;
-                if dest.idx() == i && !chaos.router_down[i] {
+                if dest.idx() == i && !down(net, i) {
                     continue; // at destination, router alive: it will eject
                 }
-                let unroutable = chaos.router_down[i]
-                    || chaos.router_down[dest.idx()]
+                let unroutable = down(net, i)
+                    || down(net, dest.idx())
                     || net.fault.as_ref().is_some_and(|f| {
                         f.mask.as_ref().is_some_and(|m| {
                             dest.idx() != i
@@ -483,7 +375,7 @@ fn purge_stranded(chaos: &ChaosState, net: &mut Network) {
         // Ejection VCs of dead routers: the NIC no longer consumes, so
         // complete packets are lifted out (partial packets wait — their
         // remaining flits are still arriving and worms always finish).
-        if chaos.router_down[i] {
+        if down(net, i) {
             for ej in 0..net.nics[i].ejection.len() {
                 if net.nics[i].ejection[ej].complete_packet() {
                     purged += net.nics[i].ejection[ej].buf.len() as u64;

@@ -35,7 +35,7 @@
 use crate::inbox::Inbox;
 use crate::routing::{west_first, Candidates};
 use crate::stats::Stats;
-use noc_types::{Coord, Cycle, Direction, Flit, NetConfig, NodeId, PortId};
+use noc_types::{Coord, Cycle, Direction, FaultConfig, Flit, NetConfig, NodeId, PortId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -81,16 +81,15 @@ pub struct DeadSet {
 }
 
 impl DeadSet {
-    /// Resolves `cfg.fault` into a concrete dead set. Random kills are drawn
-    /// deterministically from the fault seed over the links still alive
-    /// after the explicit kills.
+    /// Resolves `fault` into a concrete dead set on a `cols`×`rows` mesh.
+    /// Random kills are drawn deterministically from the fault seed over the
+    /// links still alive after the explicit kills.
     ///
     /// # Panics
     /// Panics when a listed link/router is off-mesh or when more random
     /// kills are requested than live links exist.
-    pub fn resolve(cfg: &NetConfig) -> DeadSet {
-        let n = cfg.num_nodes();
-        let (cols, rows) = (cfg.cols, cfg.rows);
+    pub fn resolve(cols: u8, rows: u8, fault: &FaultConfig) -> DeadSet {
+        let n = usize::from(cols) * usize::from(rows);
         let mut set = DeadSet {
             links: vec![[false; 4]; n],
             routers: vec![false; n],
@@ -104,12 +103,12 @@ impl DeadSet {
             set.links[node.idx()][d.index()] = true;
             set.links[nb.idx()][d.opposite().index()] = true;
         };
-        for &(node, d) in &cfg.fault.dead_links {
+        for &(node, d) in &fault.dead_links {
             assert!(d.is_cardinal(), "fault config kills a non-mesh link");
             assert!(node.idx() < n, "fault config kills link of off-mesh node");
             kill(&mut set, node, d);
         }
-        for &node in &cfg.fault.dead_routers {
+        for &node in &fault.dead_routers {
             assert!(node.idx() < n, "fault config kills off-mesh router");
             set.routers[node.idx()] = true;
             let c = node.to_coord(cols);
@@ -119,7 +118,7 @@ impl DeadSet {
                 }
             }
         }
-        if cfg.fault.random_dead_links > 0 {
+        if fault.random_dead_links > 0 {
             // Canonical candidate list (each physical link once, named from
             // its west/north endpoint) so the draw order is well-defined.
             let mut live: Vec<(NodeId, Direction)> = Vec::new();
@@ -132,13 +131,13 @@ impl DeadSet {
                 }
             }
             assert!(
-                usize::from(cfg.fault.random_dead_links) <= live.len(),
+                usize::from(fault.random_dead_links) <= live.len(),
                 "fault config kills {} random links but only {} are alive",
-                cfg.fault.random_dead_links,
+                fault.random_dead_links,
                 live.len()
             );
-            let mut rng = SmallRng::seed_from_u64(cfg.fault.fault_seed ^ 0x9E37_79B9_7F4A_7C15);
-            for _ in 0..cfg.fault.random_dead_links {
+            let mut rng = SmallRng::seed_from_u64(fault.fault_seed ^ 0x9E37_79B9_7F4A_7C15);
+            for _ in 0..fault.random_dead_links {
                 let k = rng.gen_range(0..live.len());
                 let (node, d) = live.swap_remove(k);
                 kill(&mut set, node, d);
@@ -160,38 +159,6 @@ impl DeadSet {
     /// True when anything at all is dead.
     pub fn any(&self) -> bool {
         self.routers.iter().any(|&r| r) || self.links.iter().any(|l| l.iter().any(|&d| d))
-    }
-
-    /// An all-alive dead set for an `n`-node mesh (chaos runs that start
-    /// healthy and only kill hardware mid-run).
-    pub fn all_alive(n: usize) -> DeadSet {
-        DeadSet {
-            links: vec![[false; 4]; n],
-            routers: vec![false; n],
-        }
-    }
-
-    /// Sets the liveness of the physical link leaving `node` in direction
-    /// `d`, symmetrically (both endpoints). Epoch reconfiguration only; the
-    /// caller rebuilds the routing mask afterwards.
-    ///
-    /// # Panics
-    /// Panics when the link points off the mesh.
-    pub fn set_link(&mut self, node: usize, d: Direction, cols: u8, rows: u8, dead: bool) {
-        let c = NodeId(node as u16).to_coord(cols);
-        let nb = d
-            .step(c, cols, rows)
-            .unwrap_or_else(|| panic!("set_link on off-mesh link ({node}, {d})"))
-            .to_node(cols);
-        self.links[node][d.index()] = dead;
-        self.links[nb.idx()][d.opposite().index()] = dead;
-    }
-
-    /// Sets the liveness of router `node` (the flag only; its links are
-    /// killed/restored individually by the epoch logic, which knows which of
-    /// them are independently dead).
-    pub fn set_router(&mut self, node: usize, dead: bool) {
-        self.routers[node] = dead;
     }
 
     /// Every dead physical link once, named from its west/north endpoint
@@ -803,8 +770,8 @@ impl Retrans {
 /// when `FaultConfig` is disabled — the engine then takes none of the fault
 /// branches and stays bit-identical to a fault-free build).
 pub struct FaultLayer {
-    /// The *currently effective* dead set. With a fault schedule this is
-    /// mutated at each epoch (kills and heals); without one it is the
+    /// The *currently effective* dead set. With a fault schedule each epoch
+    /// replaces it with that epoch's; without one it is the
     /// construction-time resolution and never changes.
     pub dead: DeadSet,
     /// Degraded-mesh routing mask; `Some` iff anything is permanently dead
@@ -830,10 +797,11 @@ impl FaultLayer {
         if !cfg.fault.enabled() {
             return None;
         }
-        if let Err(e) = cfg.fault.validate(cfg.cols, cfg.rows) {
-            panic!("{e}");
-        }
-        let dead = DeadSet::resolve(cfg);
+        let epochs = cfg
+            .fault
+            .epochs(cfg.cols, cfg.rows)
+            .unwrap_or_else(|e| panic!("{e}"));
+        let dead = DeadSet::resolve(cfg.cols, cfg.rows, &cfg.fault);
         let mask = if dead.any() {
             match RouteMask::build(cfg.cols, cfg.rows, &dead) {
                 Ok(m) => Some(m),
@@ -857,7 +825,7 @@ impl FaultLayer {
         let chaos = cfg
             .fault
             .has_schedule()
-            .then(|| Box::new(crate::chaos::ChaosState::new(cfg, &dead)));
+            .then(|| Box::new(crate::chaos::ChaosState::new(epochs, cfg.cols, cfg.rows)));
         Some(Box::new(FaultLayer {
             dead,
             mask,
@@ -886,11 +854,6 @@ impl FaultLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_types::FaultConfig;
-
-    fn cfg_with(fault: FaultConfig) -> NetConfig {
-        NetConfig::synth(4, 2).with_fault(fault)
-    }
 
     #[test]
     fn disabled_fault_builds_nothing() {
@@ -900,7 +863,7 @@ mod tests {
     #[test]
     fn dead_set_is_symmetric_and_deterministic() {
         let f = FaultConfig::default().with_dead_links(vec![(NodeId(5), Direction::East)]);
-        let set = DeadSet::resolve(&cfg_with(f));
+        let set = DeadSet::resolve(4, 4, &f);
         assert!(set.link_dead(5, Direction::East));
         assert!(set.link_dead(6, Direction::West));
         assert!(!set.link_dead(5, Direction::West));
@@ -908,8 +871,8 @@ mod tests {
         let f = FaultConfig::default()
             .with_random_dead_links(3)
             .with_fault_seed(42);
-        let a = DeadSet::resolve(&cfg_with(f.clone()));
-        let b = DeadSet::resolve(&cfg_with(f));
+        let a = DeadSet::resolve(4, 4, &f);
+        let b = DeadSet::resolve(4, 4, &f);
         assert_eq!(
             a.dead_link_list(4, 4),
             b.dead_link_list(4, 4),
@@ -924,7 +887,7 @@ mod tests {
             dead_routers: vec![NodeId(5)],
             ..FaultConfig::default()
         };
-        let set = DeadSet::resolve(&cfg_with(f));
+        let set = DeadSet::resolve(4, 4, &f);
         assert!(set.router_dead(5));
         for d in Direction::CARDINAL {
             assert!(set.link_dead(5, d));
@@ -935,7 +898,7 @@ mod tests {
 
     #[test]
     fn fault_free_mask_matches_productive_set() {
-        let dead = DeadSet::resolve(&NetConfig::synth(4, 2));
+        let dead = DeadSet::resolve(4, 4, &FaultConfig::default());
         let mask = RouteMask::build(4, 4, &dead).expect("fault-free mesh routable");
         for u in 0..16u16 {
             for t in 0..16u16 {
@@ -958,8 +921,7 @@ mod tests {
         // no minimal path any more, but the degraded-graph mask admits the
         // two symmetric 3-hop detours: leave via North or South.
         let f = FaultConfig::default().with_dead_links(vec![(NodeId(5), Direction::East)]);
-        let cfg = cfg_with(f);
-        let mask = RouteMask::build(4, 4, &DeadSet::resolve(&cfg)).expect("still connected");
+        let mask = RouteMask::build(4, 4, &DeadSet::resolve(4, 4, &f)).expect("still connected");
         let (from, to) = (Coord::new(1, 1), Coord::new(2, 1));
         assert!(!mask.permits(from, to, Direction::East), "dead link used");
         assert!(mask.permits(from, to, Direction::North));
@@ -981,14 +943,13 @@ mod tests {
             (NodeId(0), Direction::East),
             (NodeId(0), Direction::South),
         ]);
-        let cfg = cfg_with(f);
-        let err = RouteMask::build(4, 4, &DeadSet::resolve(&cfg)).unwrap_err();
+        let err = RouteMask::build(4, 4, &DeadSet::resolve(4, 4, &f)).unwrap_err();
         assert!(err.src == NodeId(0) || err.dest == NodeId(0));
     }
 
     #[test]
     fn west_first_mask_is_stricter_than_minimal() {
-        let dead = DeadSet::resolve(&NetConfig::synth(4, 2));
+        let dead = DeadSet::resolve(4, 4, &FaultConfig::default());
         let wf = RouteMask::build_west_first(4, 4, &dead).expect("fault-free WF routable");
         // Westward dest: WF allows only West.
         assert_eq!(

@@ -30,7 +30,6 @@ pub mod reorder;
 pub mod reservation;
 pub mod router;
 pub mod routing;
-pub mod snapshot;
 pub mod soa;
 pub mod stats;
 pub mod vc;
@@ -48,7 +47,6 @@ pub use recovery::RecoveryState;
 pub use reorder::ReorderBuffer;
 pub use reservation::ReservationTable;
 pub use router::Router;
-pub use snapshot::NetSnapshot;
 pub use soa::{CreditSoA, CreditView};
 pub use stats::{DeliveredPacket, Stats};
 pub use vc::{VcRoute, VirtualChannel};

@@ -101,10 +101,14 @@ fn route_mask_reroutes_around_multiple_simultaneous_dead_links() {
     // Three of the four east links of column 1 die at once: a near-wall with
     // one surviving gap in row 3. BFS must still connect every pair, and
     // every eastbound route through the dead rows must detour via the gap.
-    let mut dead = DeadSet::all_alive(16);
-    for node in [1usize, 5, 9] {
-        dead.set_link(node, Direction::East, 4, 4, true);
-    }
+    let east_links_dead = |nodes: &[u16]| {
+        let links = nodes
+            .iter()
+            .map(|&n| (NodeId(n), Direction::East))
+            .collect();
+        DeadSet::resolve(4, 4, &FaultConfig::default().with_dead_links(links))
+    };
+    let dead = east_links_dead(&[1, 5, 9]);
     let mask = RouteMask::build(4, 4, &dead).expect("gap in row 3 keeps the mesh connected");
     assert!(mask.fully_routable(&dead));
     // From (1,0) to (2,0) the direct east hop is gone: only a detour toward
@@ -118,7 +122,7 @@ fn route_mask_reroutes_around_multiple_simultaneous_dead_links() {
     );
     // Sealing the gap partitions the mesh: full build refuses, the partial
     // build degrades per-pair.
-    dead.set_link(13, Direction::East, 4, 4, true);
+    let dead = east_links_dead(&[1, 5, 9, 13]);
     assert!(RouteMask::build(4, 4, &dead).is_err());
     let partial = RouteMask::build_partial(4, 4, &dead);
     assert!(!partial.fully_routable(&dead));

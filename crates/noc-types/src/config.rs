@@ -3,7 +3,6 @@
 use crate::fault::{fnv1a, FaultConfig};
 use crate::message::MessageClass;
 use crate::recovery::RecoveryConfig;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Routing algorithm applied while a packet occupies *regular* VCs.
@@ -12,7 +11,7 @@ use std::ops::Range;
 /// models; the two random algorithms have full path diversity and are
 /// deadlock-*prone* — they rely on a mechanism (escape VC, SPIN, SWAP, DRAIN,
 /// SEEC, ...) for correctness.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum BaseRouting {
     /// Dimension-ordered: X first, then Y. Deadlock-free.
     Xy,
@@ -28,7 +27,7 @@ pub enum BaseRouting {
 
 /// Full routing configuration, including the escape-VC composite used by the
 /// Duato baseline.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RoutingAlgo {
     /// Every VC uses the same base algorithm.
     Uniform(BaseRouting),
@@ -56,7 +55,7 @@ impl RoutingAlgo {
 /// Which deadlock-freedom / flow-control scheme a simulation runs. Used for
 /// labelling results and by the area/energy models; the mechanism objects
 /// themselves live in the `seec` and `noc-baselines` crates.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum SchemeKind {
     /// Plain VC router; correctness (if any) comes from the routing algorithm.
     None,
@@ -90,7 +89,7 @@ impl SchemeKind {
 }
 
 /// Buffer management discipline (§3.11 of the paper).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum BufferOrg {
     /// Virtual cut-through: a VC is allocated to a whole packet and is deep
     /// enough to hold it (Table 4's configuration).
@@ -102,7 +101,7 @@ pub enum BufferOrg {
 }
 
 /// Full network configuration. Defaults mirror Table 4 of the paper.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct NetConfig {
     /// Mesh columns.
     pub cols: u8,

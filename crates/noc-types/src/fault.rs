@@ -24,11 +24,11 @@
 
 use crate::direction::Direction;
 use crate::geometry::NodeId;
-use crate::schedule::FaultSchedule;
-use serde::{Deserialize, Serialize};
+use crate::schedule::{Epoch, FaultAction, FaultEvent, FaultSchedule};
+use crate::Cycle;
 
 /// Fault-injection knobs carried by [`crate::NetConfig`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FaultConfig {
     /// Probability that a single inter-router link traversal corrupts the
     /// flit. `0.0` disables transient faults entirely.
@@ -133,14 +133,28 @@ impl FaultConfig {
         self
     }
 
-    /// Validates the scenario against a `cols`×`rows` mesh, returning a
-    /// descriptive error for configurations that could only fail later as a
-    /// panic deep inside network construction: corruption rates outside
-    /// [0, 1], dead links/routers that are not on the mesh (or listed twice),
-    /// more random kills than physical links, retransmission windows of zero
-    /// (the go-back-N sender would spin-resend every cycle), and inconsistent
-    /// kill/heal schedules.
+    /// Validates the scenario against a `cols`×`rows` mesh: the walk of
+    /// [`FaultConfig::epochs`] with its result dropped.
     pub fn validate(&self, cols: u8, rows: u8) -> Result<(), String> {
+        self.epochs(cols, rows).map(drop)
+    }
+
+    /// The one walk over the scenario's fault timeline. It validates the
+    /// scenario against a `cols`×`rows` mesh and returns one [`Epoch`] per
+    /// schedule event, in order: the event, its key and the hardware dead
+    /// from it on. The validator, the certifier (`certify_schedule`) and
+    /// the engine's chaos layer all read this one answer.
+    ///
+    /// Errors describe configurations that could only fail later as a panic
+    /// deep inside network construction: corruption rates outside [0, 1],
+    /// dead links/routers that are not on the mesh (or listed twice), more
+    /// random kills than physical links, retransmission windows of zero
+    /// (the go-back-N sender would spin-resend every cycle), and schedules
+    /// that are unordered, off the mesh, or inconsistent — killing dead
+    /// hardware, healing live hardware, or touching a link whose endpoint
+    /// router is down. Schedules cannot be checked against *random* initial
+    /// kills, so the two are rejected together.
+    pub fn epochs(&self, cols: u8, rows: u8) -> Result<Vec<Epoch>, String> {
         let n = usize::from(cols) * usize::from(rows);
         if !self.transient_rate.is_finite() || !(0.0..=1.0).contains(&self.transient_rate) {
             return Err(format!(
@@ -148,53 +162,23 @@ impl FaultConfig {
                 self.transient_rate
             ));
         }
-        // Canonical physical-link ids seen so far, endpoint-normalized so the
-        // same link named from either side — (u, East) vs (u+1, West) —
-        // collides. Duplicates are configuration bugs, not requests to kill
-        // harder; reject them here instead of silently deduping when the
-        // routing mask is built.
-        let mut seen_links: Vec<(u16, u8)> = Vec::with_capacity(self.dead_links.len());
+        // Links dead on their own account, each named once: the same link
+        // named from either side collides. Duplicates are configuration
+        // bugs, not requests to kill harder; reject them here instead of
+        // silently deduping when the routing mask is built.
+        let mut links: Vec<(NodeId, Direction)> = Vec::with_capacity(self.dead_links.len());
         for &(node, d) in &self.dead_links {
-            if !d.is_cardinal() {
-                return Err(format!(
-                    "fault config: dead link ({node}, {d:?}) is not a mesh link \
-                     (only cardinal directions name links)"
-                ));
-            }
-            if node.idx() >= n {
-                return Err(format!(
-                    "fault config: dead link ({node}, {d:?}) names node {} outside \
-                     the {cols}x{rows} mesh ({n} nodes)",
-                    node.0
-                ));
-            }
-            let Some(to) = d.step(node.to_coord(cols), cols, rows) else {
-                return Err(format!(
-                    "fault config: dead link ({node}, {d:?}) points off the edge of \
-                     the {cols}x{rows} mesh"
-                ));
-            };
-            let peer = to.to_node(cols);
-            if peer == node {
-                return Err(format!(
-                    "fault config: dead link ({node}, {d:?}) is a self-loop"
-                ));
-            }
-            let id = if peer.0 < node.0 {
-                (peer.0, d.opposite().index() as u8)
-            } else {
-                (node.0, d.index() as u8)
-            };
-            if seen_links.contains(&id) {
+            let (id, _) = link_id(cols, rows, node, d, "fault config: dead link")?;
+            if links.contains(&id) {
                 return Err(format!(
                     "fault config: dead link ({node}, {d:?}) names a physical link \
                      already listed (a dead link is dead in both directions; list \
                      each link once)"
                 ));
             }
-            seen_links.push(id);
+            links.push(id);
         }
-        let mut seen_routers: Vec<NodeId> = Vec::with_capacity(self.dead_routers.len());
+        let mut routers: Vec<NodeId> = Vec::with_capacity(self.dead_routers.len());
         for &node in &self.dead_routers {
             if node.idx() >= n {
                 return Err(format!(
@@ -203,24 +187,70 @@ impl FaultConfig {
                     node.0
                 ));
             }
-            if seen_routers.contains(&node) {
+            if routers.contains(&node) {
                 return Err(format!(
                     "fault config: dead router {} is listed twice",
                     node.0
                 ));
             }
-            seen_routers.push(node);
+            routers.push(node);
         }
-        if self.has_schedule() {
-            if self.random_dead_links > 0 {
-                return Err("fault config: a fault schedule cannot be combined with \
-                     random_dead_links (the schedule's kill/heal consistency cannot \
-                     be checked against random initial kills); list the initial dead \
-                     links explicitly"
-                    .to_string());
+        if self.has_schedule() && self.random_dead_links > 0 {
+            return Err("fault config: a fault schedule cannot be combined with \
+                 random_dead_links (the schedule's kill/heal consistency cannot \
+                 be checked against random initial kills); list the initial dead \
+                 links explicitly"
+                .to_string());
+        }
+        let mut epochs = Vec::with_capacity(self.schedule.len());
+        let mut prev_at: Cycle = 0;
+        for &ev in &self.schedule.events {
+            if ev.at == 0 {
+                return Err(format!(
+                    "fault schedule: event {:?} at cycle 0; initial faults belong in \
+                     dead_links/dead_routers",
+                    ev.action
+                ));
             }
-            self.schedule
-                .validate(cols, rows, &self.dead_links, &self.dead_routers)?;
+            if ev.at < prev_at {
+                return Err(format!(
+                    "fault schedule: event {:?} at cycle {} is out of order (previous \
+                     event was at cycle {prev_at}); sort events by cycle",
+                    ev.action, ev.at
+                ));
+            }
+            prev_at = ev.at;
+            match ev.action {
+                FaultAction::KillLink(node, d) | FaultAction::HealLink(node, d) => {
+                    let (id, peer) = link_id(cols, rows, node, d, "fault schedule: link event")?;
+                    if let Some(r) = [node, peer].into_iter().find(|r| routers.contains(r)) {
+                        return Err(format!(
+                            "fault schedule: link event ({node}, {d:?}) at cycle {} \
+                             touches router {} which is down at that point; heal the \
+                             router first",
+                            ev.at, r.0
+                        ));
+                    }
+                    toggle(&mut links, id, &ev, &format!("link ({node}, {d:?})"))?;
+                }
+                FaultAction::KillRouter(node) | FaultAction::HealRouter(node) => {
+                    if node.idx() >= n {
+                        return Err(format!(
+                            "fault schedule: router event for node {} outside the \
+                             {cols}x{rows} mesh ({n} nodes)",
+                            node.0
+                        ));
+                    }
+                    toggle(&mut routers, node, &ev, &format!("router {}", node.0))?;
+                }
+            }
+            epochs.push(Epoch {
+                event: ev,
+                key: ev.to_string(),
+                dead: FaultConfig::default()
+                    .with_dead_links(links.clone())
+                    .with_dead_routers(routers.clone()),
+            });
         }
         let physical_links = usize::from(cols) * usize::from(rows.saturating_sub(1))
             + usize::from(rows) * usize::from(cols.saturating_sub(1));
@@ -238,7 +268,7 @@ impl FaultConfig {
                     .to_string(),
             );
         }
-        Ok(())
+        Ok(epochs)
     }
 
     /// Canonical single-line rendering, used in checkpoint keys and dump
@@ -267,6 +297,68 @@ impl FaultConfig {
             let _ = write!(s, ";ev={}", self.schedule.canonical());
         }
         s
+    }
+}
+
+/// Names the physical link leaving `node` toward `d` once: from its
+/// lower-numbered endpoint, so `(u, East)` and `(u + 1, West)` are one link.
+/// Returns that name and the far endpoint, or — prefixed by `what` — why
+/// `(node, d)` names no link of a `cols`×`rows` mesh.
+fn link_id(
+    cols: u8,
+    rows: u8,
+    node: NodeId,
+    d: Direction,
+    what: &str,
+) -> Result<((NodeId, Direction), NodeId), String> {
+    let n = usize::from(cols) * usize::from(rows);
+    if !d.is_cardinal() {
+        return Err(format!(
+            "{what} ({node}, {d:?}) is not a mesh link (only cardinal directions \
+             name links)"
+        ));
+    }
+    if node.idx() >= n {
+        return Err(format!(
+            "{what} ({node}, {d:?}) names node {} outside the {cols}x{rows} mesh \
+             ({n} nodes)",
+            node.0
+        ));
+    }
+    let Some(to) = d.step(node.to_coord(cols), cols, rows) else {
+        return Err(format!(
+            "{what} ({node}, {d:?}) points off the edge of the {cols}x{rows} mesh"
+        ));
+    };
+    let peer = to.to_node(cols);
+    let id = if peer.0 < node.0 {
+        (peer, d.opposite())
+    } else {
+        (node, d)
+    };
+    Ok((id, peer))
+}
+
+/// Applies `ev`, a kill or a heal of `x` (named `what` in errors), to the
+/// dead set `v`: killing dead or healing live hardware is an error.
+fn toggle<T: PartialEq>(v: &mut Vec<T>, x: T, ev: &FaultEvent, what: &str) -> Result<(), String> {
+    match (ev.action.is_kill(), v.contains(&x)) {
+        (true, true) => Err(format!(
+            "fault schedule: kill of already-dead {what} at cycle {}",
+            ev.at
+        )),
+        (false, false) => Err(format!(
+            "fault schedule: heal of live {what} at cycle {}",
+            ev.at
+        )),
+        (true, false) => {
+            v.push(x);
+            Ok(())
+        }
+        (false, true) => {
+            v.retain(|y| *y != x);
+            Ok(())
+        }
     }
 }
 
@@ -464,6 +556,46 @@ mod tests {
             .validate(4, 4)
             .unwrap_err()
             .contains("random_dead_links"));
+    }
+
+    #[test]
+    fn epochs_name_each_dead_link_once_and_keep_listed_links_past_a_router_heal() {
+        use crate::schedule::{FaultAction, FaultEvent};
+
+        let ev = |at, action| FaultEvent { at, action };
+        // (6, West) is (5, East) named from the far side; it is dead on its
+        // own account, so it outlives the heal of router 5 beside it.
+        let fault = FaultConfig::default()
+            .with_dead_routers(vec![NodeId(5)])
+            .with_dead_links(vec![(NodeId(6), Direction::West)])
+            .with_schedule(FaultSchedule::new(vec![
+                ev(100, FaultAction::HealRouter(NodeId(5))),
+                ev(200, FaultAction::KillLink(NodeId(9), Direction::North)),
+                ev(300, FaultAction::KillRouter(NodeId(10))),
+            ]));
+        let epochs = fault.epochs(4, 4).unwrap();
+        type Row<'a> = (&'a str, &'a [(NodeId, Direction)], &'a [NodeId]);
+        let got: Vec<Row> = epochs
+            .iter()
+            .map(|e| {
+                assert_eq!(e.key, e.event.to_string());
+                (
+                    e.key.as_str(),
+                    e.dead.dead_links.as_slice(),
+                    e.dead.dead_routers.as_slice(),
+                )
+            })
+            .collect();
+        let (east, south) = ((NodeId(5), Direction::East), (NodeId(5), Direction::South));
+        assert_eq!(
+            got,
+            [
+                ("100:hr:5", &[east][..], &[][..]),
+                ("200:kl:9:0", &[east, south][..], &[][..]),
+                ("300:kr:10", &[east, south][..], &[NodeId(10)][..]),
+            ]
+        );
+        assert!(FaultConfig::default().epochs(4, 4).unwrap().is_empty());
     }
 
     #[test]

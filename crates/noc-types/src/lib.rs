@@ -24,7 +24,7 @@ pub use flit::{Flit, FlitKind, Packet};
 pub use geometry::{Coord, NodeId};
 pub use message::{MessageClass, PacketId};
 pub use recovery::RecoveryConfig;
-pub use schedule::{FaultAction, FaultEvent, FaultSchedule};
+pub use schedule::{Epoch, FaultAction, FaultEvent, FaultSchedule};
 
 /// Simulation time, in router clock cycles.
 pub type Cycle = u64;

@@ -23,10 +23,8 @@
 //!   saturation, honest queueing delay exceeds any fixed timeout, so e2e
 //!   retransmission is a fault-scenario tool, not a general-traffic one.
 
-use serde::{Deserialize, Serialize};
-
 /// Runtime-recovery knobs carried by [`crate::NetConfig`].
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RecoveryConfig {
     /// Arms drain recovery. When false the whole layer is compiled out of
     /// the run: no recovery state is allocated and the cycle loop takes no

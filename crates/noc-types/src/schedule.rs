@@ -16,9 +16,10 @@
 //! checks the outcome.
 
 use crate::direction::Direction;
+use crate::fault::FaultConfig;
 use crate::geometry::NodeId;
 use crate::Cycle;
-use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// One reconfiguration action applied at a scheduled cycle.
 ///
@@ -26,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// exactly like `FaultConfig::dead_links`; killing `(n, East)` severs both
 /// directions between `n` and its eastern neighbour. Router actions take the
 /// router's four links down (or restore them) together with its NIC.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FaultAction {
     /// Sever a live physical link (both directions).
     KillLink(NodeId, Direction),
@@ -56,7 +57,7 @@ impl FaultAction {
 }
 
 /// A single timed event in a fault schedule.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct FaultEvent {
     /// Cycle the action takes effect (applied at the start of this cycle,
     /// before any flit moves). Must be ≥ 1: cycle-0 state belongs to the
@@ -65,14 +66,45 @@ pub struct FaultEvent {
     pub action: FaultAction,
 }
 
+impl fmt::Display for FaultEvent {
+    /// The event's key, `at:code:node[:dir]`: the form
+    /// [`FaultSchedule::canonical`] joins, the engine's epoch trace records
+    /// and the certifier's epochs carry.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}:{}", self.at, self.action.code())?;
+        match self.action {
+            FaultAction::KillLink(n, d) | FaultAction::HealLink(n, d) => {
+                write!(f, ":{}:{}", n.0, d.index())
+            }
+            FaultAction::KillRouter(n) | FaultAction::HealRouter(n) => write!(f, ":{}", n.0),
+        }
+    }
+}
+
+/// One event of a validated fault timeline and the hardware it leaves dead
+/// (see [`FaultConfig::epochs`]). The mesh from this event until the next
+/// is an *epoch*.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Epoch {
+    pub event: FaultEvent,
+    /// The event's key, `at:code:node[:dir]`.
+    pub key: String,
+    /// What is dead from the event on, as a static fault config with only
+    /// its two lists set: the links dead on their own account, each named
+    /// once from its lower-numbered endpoint, and the dead routers. A dead
+    /// router's links are implied, so a link listed here stays dead when an
+    /// adjacent router heals.
+    pub dead: FaultConfig,
+}
+
 /// A deterministic timeline of kill/heal events.
 ///
 /// Events must be ordered by cycle (ties allowed — e.g. a brownout killing
 /// several links in the same cycle — and applied in list order), and must
 /// describe a *consistent* state machine: no killing dead hardware, no
-/// healing live hardware. [`FaultSchedule::validate`] enforces both against
-/// the initial dead set.
-#[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+/// healing live hardware. [`FaultConfig::epochs`] enforces both against the
+/// initial dead set.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct FaultSchedule {
     pub events: Vec<FaultEvent>,
 }
@@ -171,183 +203,17 @@ impl FaultSchedule {
         self
     }
 
-    /// Validates the schedule against a `cols`×`rows` mesh and the initial
-    /// dead set, returning a descriptive error for:
-    ///
-    /// * events at cycle 0 (initial state belongs to the static lists),
-    /// * out-of-order events,
-    /// * link events that are non-cardinal, off-mesh, off-edge, or self-loops,
-    /// * router events off the mesh,
-    /// * state-machine violations: killing already-dead hardware, healing
-    ///   live hardware, or touching a link whose endpoint router is down.
-    ///
-    /// `initial_links` / `initial_routers` are the statically-dead lists from
-    /// the surrounding `FaultConfig` (assumed already validated). Schedules
-    /// cannot be checked against *random* initial kills, so the caller must
-    /// reject `random_dead_links > 0` alongside a non-empty schedule.
-    pub fn validate(
-        &self,
-        cols: u8,
-        rows: u8,
-        initial_links: &[(NodeId, Direction)],
-        initial_routers: &[NodeId],
-    ) -> Result<(), String> {
-        let n = usize::from(cols) * usize::from(rows);
-        // Live-state tracking over canonical physical link ids and routers.
-        let canon = |node: NodeId, d: Direction| -> Result<(u16, u8), String> {
-            if !d.is_cardinal() {
-                return Err(format!(
-                    "fault schedule: link event ({node}, {d:?}) is not a mesh link \
-                     (only cardinal directions name links)"
-                ));
-            }
-            if node.idx() >= n {
-                return Err(format!(
-                    "fault schedule: link event ({node}, {d:?}) names node {} outside \
-                     the {cols}x{rows} mesh ({n} nodes)",
-                    node.0
-                ));
-            }
-            let Some(to) = d.step(node.to_coord(cols), cols, rows) else {
-                return Err(format!(
-                    "fault schedule: link event ({node}, {d:?}) points off the edge \
-                     of the {cols}x{rows} mesh"
-                ));
-            };
-            let peer = to.to_node(cols);
-            if peer == node {
-                return Err(format!(
-                    "fault schedule: link event ({node}, {d:?}) is a self-loop"
-                ));
-            }
-            // Canonical id: the lower endpoint plus the direction leading to
-            // the higher one, so (u, East) and (u+1, West) collide.
-            if peer.0 < node.0 {
-                Ok((peer.0, d.opposite().index() as u8))
-            } else {
-                Ok((node.0, d.index() as u8))
-            }
-        };
-
-        let mut dead_links: Vec<(u16, u8)> = Vec::new();
-        for &(node, d) in initial_links {
-            let id = canon(node, d)?;
-            if !dead_links.contains(&id) {
-                dead_links.push(id);
-            }
-        }
-        let mut dead_routers: Vec<NodeId> = initial_routers.to_vec();
-
-        let mut prev_at: Cycle = 0;
-        for ev in &self.events {
-            if ev.at == 0 {
-                return Err(format!(
-                    "fault schedule: event {:?} at cycle 0; initial faults belong in \
-                     dead_links/dead_routers",
-                    ev.action
-                ));
-            }
-            if ev.at < prev_at {
-                return Err(format!(
-                    "fault schedule: event {:?} at cycle {} is out of order (previous \
-                     event was at cycle {prev_at}); sort events by cycle",
-                    ev.action, ev.at
-                ));
-            }
-            prev_at = ev.at;
-            match ev.action {
-                FaultAction::KillLink(node, d) | FaultAction::HealLink(node, d) => {
-                    let id = canon(node, d)?;
-                    let peer = d
-                        .step(node.to_coord(cols), cols, rows)
-                        .expect("canon validated the step")
-                        .to_node(cols);
-                    for r in [node, peer] {
-                        if dead_routers.contains(&r) {
-                            return Err(format!(
-                                "fault schedule: link event ({node}, {d:?}) at cycle {} \
-                                 touches router {} which is down at that point; heal the \
-                                 router first",
-                                ev.at, r.0
-                            ));
-                        }
-                    }
-                    let is_dead = dead_links.contains(&id);
-                    if ev.action.is_kill() {
-                        if is_dead {
-                            return Err(format!(
-                                "fault schedule: kill of already-dead link ({node}, {d:?}) \
-                                 at cycle {}",
-                                ev.at
-                            ));
-                        }
-                        dead_links.push(id);
-                    } else {
-                        if !is_dead {
-                            return Err(format!(
-                                "fault schedule: heal of live link ({node}, {d:?}) at \
-                                 cycle {}",
-                                ev.at
-                            ));
-                        }
-                        dead_links.retain(|&l| l != id);
-                    }
-                }
-                FaultAction::KillRouter(node) | FaultAction::HealRouter(node) => {
-                    if node.idx() >= n {
-                        return Err(format!(
-                            "fault schedule: router event for node {} outside the \
-                             {cols}x{rows} mesh ({n} nodes)",
-                            node.0
-                        ));
-                    }
-                    let is_dead = dead_routers.contains(&node);
-                    if ev.action.is_kill() {
-                        if is_dead {
-                            return Err(format!(
-                                "fault schedule: kill of already-dead router {} at \
-                                 cycle {}",
-                                node.0, ev.at
-                            ));
-                        }
-                        dead_routers.push(node);
-                    } else {
-                        if !is_dead {
-                            return Err(format!(
-                                "fault schedule: heal of live router {} at cycle {}",
-                                node.0, ev.at
-                            ));
-                        }
-                        dead_routers.retain(|&r| r != node);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Canonical single-line rendering folded into `FaultConfig::canonical`
-    /// (and therefore the config digest). Empty schedules render as the empty
-    /// string so pre-schedule digests are unchanged.
+    /// (and therefore the config digest): every event's key followed by a
+    /// comma. Empty schedules render as the empty string so pre-schedule
+    /// digests are unchanged.
     pub fn canonical(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        for ev in &self.events {
-            let _ = match ev.action {
-                FaultAction::KillLink(n, d) | FaultAction::HealLink(n, d) => {
-                    write!(s, "{}:{}:{}:{},", ev.at, ev.action.code(), n.0, d.index())
-                }
-                FaultAction::KillRouter(n) | FaultAction::HealRouter(n) => {
-                    write!(s, "{}:{}:{},", ev.at, ev.action.code(), n.0)
-                }
-            };
-        }
-        s
+        self.events.iter().map(|ev| format!("{ev},")).collect()
     }
 
     /// Inverse of [`FaultSchedule::canonical`] (`at:code:node[:dir],`
-    /// repeated). Parses structure only; [`FaultSchedule::validate`] judges
-    /// the timeline.
+    /// repeated). Parses structure only; [`FaultConfig::epochs`] judges the
+    /// timeline.
     pub fn from_canonical(canon: &str) -> Result<FaultSchedule, String> {
         let mut events = Vec::new();
         for tok in canon.split(',').filter(|t| !t.is_empty()) {
@@ -386,6 +252,20 @@ impl FaultSchedule {
 mod tests {
     use super::*;
 
+    /// The one walk's verdict on `s` over the given initial dead lists of a
+    /// 4x4 mesh.
+    fn walk(
+        s: &FaultSchedule,
+        links: &[(NodeId, Direction)],
+        routers: &[NodeId],
+    ) -> Result<(), String> {
+        FaultConfig::default()
+            .with_dead_links(links.to_vec())
+            .with_dead_routers(routers.to_vec())
+            .with_schedule(s.clone())
+            .validate(4, 4)
+    }
+
     fn kl(at: Cycle, node: u16, d: Direction) -> FaultEvent {
         FaultEvent {
             at,
@@ -404,12 +284,12 @@ mod tests {
     fn flap_constructors_are_ordered_and_valid() {
         let s = FaultSchedule::link_flap(NodeId(5), Direction::East, 100, 200);
         assert_eq!(s.len(), 2);
-        assert!(s.validate(4, 4, &[], &[]).is_ok());
+        assert!(walk(&s, &[], &[]).is_ok());
 
         let t = FaultSchedule::flap_train(NodeId(5), Direction::East, 50, 20, 30, 3);
         assert_eq!(t.len(), 6);
         assert_eq!(t.last_event_cycle(), Some(50 + 2 * 50 + 20));
-        assert!(t.validate(4, 4, &[], &[]).is_ok());
+        assert!(walk(&t, &[], &[]).is_ok());
 
         let b = FaultSchedule::brownout(
             &[(NodeId(1), Direction::South), (NodeId(5), Direction::East)],
@@ -417,48 +297,36 @@ mod tests {
             40,
         );
         assert_eq!(b.len(), 4);
-        assert!(b.validate(4, 4, &[], &[]).is_ok());
+        assert!(walk(&b, &[], &[]).is_ok());
     }
 
     #[test]
     fn validate_rejects_structural_errors() {
         // Cycle-0 event.
         let s = FaultSchedule::new(vec![kl(0, 5, Direction::East)]);
-        assert!(s.validate(4, 4, &[], &[]).unwrap_err().contains("cycle 0"));
+        assert!(walk(&s, &[], &[]).unwrap_err().contains("cycle 0"));
 
         // Out of order.
         let s = FaultSchedule::new(vec![
             kl(200, 5, Direction::East),
             hl(100, 5, Direction::East),
         ]);
-        assert!(s
-            .validate(4, 4, &[], &[])
-            .unwrap_err()
-            .contains("out of order"));
+        assert!(walk(&s, &[], &[]).unwrap_err().contains("out of order"));
 
         // Off-edge link.
         let s = FaultSchedule::new(vec![kl(10, 3, Direction::East)]);
-        assert!(s
-            .validate(4, 4, &[], &[])
-            .unwrap_err()
-            .contains("off the edge"));
+        assert!(walk(&s, &[], &[]).unwrap_err().contains("off the edge"));
 
         // Non-cardinal.
         let s = FaultSchedule::new(vec![kl(10, 3, Direction::Local)]);
-        assert!(s
-            .validate(4, 4, &[], &[])
-            .unwrap_err()
-            .contains("not a mesh link"));
+        assert!(walk(&s, &[], &[]).unwrap_err().contains("not a mesh link"));
 
         // Off-mesh router.
         let s = FaultSchedule::new(vec![FaultEvent {
             at: 10,
             action: FaultAction::KillRouter(NodeId(16)),
         }]);
-        assert!(s
-            .validate(4, 4, &[], &[])
-            .unwrap_err()
-            .contains("outside the 4x4"));
+        assert!(walk(&s, &[], &[]).unwrap_err().contains("outside the 4x4"));
     }
 
     #[test]
@@ -466,23 +334,17 @@ mod tests {
         // Double kill, including via the aliased name from the other side:
         // (5, East) and (6, West) are the same physical link.
         let s = FaultSchedule::new(vec![kl(10, 5, Direction::East), kl(20, 6, Direction::West)]);
-        assert!(s
-            .validate(4, 4, &[], &[])
-            .unwrap_err()
-            .contains("already-dead"));
+        assert!(walk(&s, &[], &[]).unwrap_err().contains("already-dead"));
 
         // Heal of a live link.
         let s = FaultSchedule::new(vec![hl(10, 5, Direction::East)]);
-        assert!(s
-            .validate(4, 4, &[], &[])
+        assert!(walk(&s, &[], &[])
             .unwrap_err()
             .contains("heal of live link"));
 
         // Heal of an *initially* dead link is legal.
         let s = FaultSchedule::new(vec![hl(10, 5, Direction::East)]);
-        assert!(s
-            .validate(4, 4, &[(NodeId(6), Direction::West)], &[])
-            .is_ok());
+        assert!(walk(&s, &[(NodeId(6), Direction::West)], &[]).is_ok());
 
         // Kill → heal → kill again is a legal flap.
         let s = FaultSchedule::new(vec![
@@ -490,7 +352,7 @@ mod tests {
             hl(20, 5, Direction::East),
             kl(30, 6, Direction::West),
         ]);
-        assert!(s.validate(4, 4, &[], &[]).is_ok());
+        assert!(walk(&s, &[], &[]).is_ok());
 
         // Router state machine.
         let s = FaultSchedule::new(vec![
@@ -503,8 +365,7 @@ mod tests {
                 action: FaultAction::KillRouter(NodeId(5)),
             },
         ]);
-        assert!(s
-            .validate(4, 4, &[], &[])
+        assert!(walk(&s, &[], &[])
             .unwrap_err()
             .contains("already-dead router"));
 
@@ -516,8 +377,7 @@ mod tests {
             },
             kl(20, 5, Direction::East),
         ]);
-        assert!(s
-            .validate(4, 4, &[], &[])
+        assert!(walk(&s, &[], &[])
             .unwrap_err()
             .contains("router 5 which is down"));
     }
@@ -596,6 +456,6 @@ mod tests {
         let m = a.merged(b);
         let cycles: Vec<Cycle> = m.events.iter().map(|e| e.at).collect();
         assert_eq!(cycles, vec![100, 150, 250, 300]);
-        assert!(m.validate(4, 4, &[], &[]).is_ok());
+        assert!(walk(&m, &[], &[]).is_ok());
     }
 }

@@ -380,7 +380,7 @@ mod tests {
     fn masked_relation_on_a_live_mesh_is_the_healthy_relation() {
         for row in crate::matrix::all_configs() {
             let cfg = &row.cfg;
-            let dead = DeadSet::all_alive(cfg.num_nodes());
+            let dead = DeadSet::resolve(cfg.cols, cfg.rows, &noc_types::FaultConfig::default());
             let mask = RouteMask::build(cfg.cols, cfg.rows, &dead).expect("live mesh routes");
             let wf = cfg.routing.has_escape().then(|| {
                 RouteMask::build_west_first(cfg.cols, cfg.rows, &dead).expect("live mesh routes")

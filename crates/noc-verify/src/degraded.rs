@@ -40,7 +40,7 @@ pub fn certify_degraded(cfg: &NetConfig) -> Report {
             ..crate::certify(cfg)
         };
     }
-    let dead = DeadSet::resolve(cfg);
+    let dead = DeadSet::resolve(cfg.cols, cfg.rows, &cfg.fault);
     let (cols, rows) = (cfg.cols, cfg.rows);
     let hardware = DeadHardware {
         links: dead.dead_link_list(cols, rows),
@@ -191,7 +191,7 @@ mod tests {
     fn degraded_cdg_omits_dead_channels() {
         let fault = FaultConfig::default().with_dead_links(vec![(NodeId(5), Direction::East)]);
         let c = cfg(RoutingAlgo::Uniform(BaseRouting::Xy), fault);
-        let dead = DeadSet::resolve(&c);
+        let dead = DeadSet::resolve(c.cols, c.rows, &c.fault);
         let mask = RouteMask::build(c.cols, c.rows, &dead).unwrap();
         let cdg = Cdg::build_degraded(&c, &dead, &mask, None);
         assert!(cdg

@@ -1,28 +1,25 @@
-//! Per-epoch certification of a fault *schedule*: replays the kill/heal
-//! timeline of a [`noc_types::FaultSchedule`] in the pure configuration
-//! domain and certifies the degraded mesh the network will be running on
-//! after each event.
+//! Per-epoch certification of a fault *schedule*: certifies the degraded
+//! mesh the network runs on after each event of a
+//! [`noc_types::FaultSchedule`].
 //!
 //! The chaos soak harness (noc-experiments) calls [`certify_schedule`] to
 //! fill the `recert` column of the engine's epoch trace: for every scheduled
 //! event, what would the static certifier say about the topology from that
-//! event onward? The replay mirrors the engine's own state machine exactly —
-//! a router kill takes its live links down with it, a router heal revives
-//! only links that are not *independently* dead and whose far endpoint is
-//! alive — but stays entirely in `noc-types` terms: each epoch is rendered
-//! as a synthetic static [`noc_types::FaultConfig`] and pushed through
-//! [`crate::certify_degraded`].
+//! event onward? The epochs are [`noc_types::FaultConfig::epochs`], the one
+//! walk the engine's chaos layer reads too, so the certifier and the engine
+//! agree on what is dead by construction. Each epoch's dead set is a static
+//! fault config, pushed through [`crate::certify_degraded`].
 
 use crate::{certify_degraded, Report, RoutingVerdict};
-use noc_types::{Direction, FaultAction, NetConfig, NodeId};
+use noc_types::NetConfig;
 
 /// The certification of one epoch of a fault schedule.
 #[derive(Clone, Debug)]
 pub struct EpochCertification {
     /// Cycle the epoch opens.
     pub at: u64,
-    /// Canonical rendering of the event that opened it (matches the engine's
-    /// `EpochRecord::action` format: `cycle:code:node[:dir]`).
+    /// Key of the event that opened it (the engine's `EpochRecord::action`:
+    /// `cycle:code:node[:dir]`).
     pub action: String,
     /// Full degraded-mesh certification of the post-event topology.
     pub report: Report,
@@ -47,88 +44,33 @@ pub fn short_verdict(v: &RoutingVerdict) -> &'static str {
     }
 }
 
-/// Replays `cfg`'s fault schedule and certifies the degraded mesh after
-/// every event. Returns one [`EpochCertification`] per event, in timeline
-/// order. Errors if the fault configuration (including the schedule) fails
-/// validation against the mesh.
+/// Certifies the degraded mesh after every event of `cfg`'s fault schedule.
+/// Returns one [`EpochCertification`] per event, in timeline order. Errors
+/// if the fault configuration (including the schedule) fails validation
+/// against the mesh.
 ///
 /// Epochs whose topology cannot run at all report
 /// [`RoutingVerdict::Unroutable`] rather than erroring: a schedule is
 /// allowed to partition the mesh mid-run (the engine's partial mask and
 /// stranded purge handle it), and the harness wants that fact in the trace.
 pub fn certify_schedule(cfg: &NetConfig) -> Result<Vec<EpochCertification>, String> {
-    cfg.fault.validate(cfg.cols, cfg.rows)?;
-    let (cols, rows) = (cfg.cols, cfg.rows);
-
-    // Canonical physical-link id: named from its lower-numbered endpoint.
-    let canon = |node: NodeId, d: Direction| -> (NodeId, Direction) {
-        match d.step(node.to_coord(cols), cols, rows) {
-            Some(p) if p.to_node(cols).0 < node.0 => (p.to_node(cols), d.opposite()),
-            _ => (node, d),
-        }
-    };
-
-    // Independently-dead links and dead routers, tracked exactly like the
-    // engine's chaos state: router kills do NOT enter `link_down` (healing
-    // the router revives its links), schedule link kills do.
-    let mut link_down: Vec<(NodeId, Direction)> = cfg
-        .fault
-        .dead_links
-        .iter()
-        .map(|&(n, d)| canon(n, d))
-        .collect();
-    let mut router_down: Vec<NodeId> = cfg.fault.dead_routers.clone();
-
-    let mut events = cfg.fault.schedule.events.clone();
-    events.sort_by_key(|e| e.at);
-
-    let mut out = Vec::with_capacity(events.len());
-    for ev in &events {
-        let action = match ev.action {
-            FaultAction::KillLink(n, d) => {
-                let id = canon(n, d);
-                if !link_down.contains(&id) {
-                    link_down.push(id);
-                }
-                format!("{}:kl:{}:{}", ev.at, n.0, d.index())
-            }
-            FaultAction::HealLink(n, d) => {
-                let id = canon(n, d);
-                link_down.retain(|&l| l != id);
-                format!("{}:hl:{}:{}", ev.at, n.0, d.index())
-            }
-            FaultAction::KillRouter(n) => {
-                if !router_down.contains(&n) {
-                    router_down.push(n);
-                }
-                format!("{}:kr:{}", ev.at, n.0)
-            }
-            FaultAction::HealRouter(n) => {
-                router_down.retain(|&r| r != n);
-                format!("{}:hr:{}", ev.at, n.0)
-            }
-        };
-        // Synthesize the epoch's topology as a static fault config. Links
-        // adjacent to dead routers are implied by the router list (DeadSet
-        // resolution expands them), so only independently-dead links are
-        // listed — and only once each, thanks to the canonical ids.
-        let epoch_fault = noc_types::FaultConfig::default()
-            .with_dead_links(link_down.clone())
-            .with_dead_routers(router_down.clone());
-        let epoch_cfg = cfg.clone().with_fault(epoch_fault);
-        out.push(EpochCertification {
-            at: ev.at,
-            action,
-            report: certify_degraded(&epoch_cfg),
-        });
-    }
-    Ok(out)
+    let epochs = cfg.fault.epochs(cfg.cols, cfg.rows)?;
+    Ok(epochs
+        .into_iter()
+        .map(|e| EpochCertification {
+            at: e.event.at,
+            action: e.key,
+            report: certify_degraded(&cfg.clone().with_fault(e.dead)),
+        })
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_types::{BaseRouting, FaultConfig, FaultSchedule, RoutingAlgo};
+    use noc_types::{
+        BaseRouting, Direction, FaultAction, FaultConfig, FaultSchedule, NodeId, RoutingAlgo,
+    };
 
     fn dead(epoch: &EpochCertification) -> &crate::DeadHardware {
         epoch

@@ -26,9 +26,19 @@
 //!      so once its mask fails to cover some pair, every superset also
 //!      fails — and therefore no superset can ever earn the
 //!      `CertifiedEscape` (Duato) verdict again.
+//!
+//! 3. **One fault timeline.** After every event of a valid kill/heal
+//!    schedule, the engine's live dead set equals the dead hardware
+//!    [`certify_schedule`] certifies for that epoch, and a listed dead link
+//!    survives the heal of the router beside it in the validator, the
+//!    certifier and the engine alike.
 
-use noc_types::{Coord, Direction, FaultConfig, NetConfig, NodeId};
-use noc_verify::{certify, certify_degraded, Cdg, RoutingVerdict, Witness};
+use noc_sim::network::Sim;
+use noc_sim::{IdleWorkload, NoMechanism};
+use noc_types::{
+    Coord, Direction, FaultAction, FaultConfig, FaultEvent, FaultSchedule, NetConfig, NodeId,
+};
+use noc_verify::{certify, certify_degraded, certify_schedule, Cdg, RoutingVerdict, Witness};
 use proptest::prelude::*;
 
 /// Maps each witness channel to its id in `cdg`, panicking (test failure)
@@ -131,7 +141,7 @@ fn degraded_witness_is_minimal_in_the_degraded_cdg() {
             report.routing
         );
     };
-    let dead = DeadSet::resolve(&cfg);
+    let dead = DeadSet::resolve(k, k, &cfg.fault);
     let mask = RouteMask::build(k, k, &dead).expect("one dead link keeps a 4x4 mesh routable");
     let cdg = Cdg::build_degraded(&cfg, &dead, &mask, None);
     assert_minimal_cycle(&cdg, witness, "adaptive 4x4, one dead link");
@@ -158,8 +168,143 @@ fn dead_links_from_raw(raw: &[(u16, u8)], k: u8) -> Vec<(NodeId, Direction)> {
     links
 }
 
+/// The engine's live dead set: dead links (each once, from its west/north
+/// endpoint) and dead routers.
+fn engine_dead(sim: &Sim) -> (Vec<(NodeId, Direction)>, Vec<NodeId>) {
+    let (cols, rows) = (sim.net.cfg.cols, sim.net.cfg.rows);
+    let dead = &sim
+        .net
+        .fault
+        .as_ref()
+        .expect("a schedule builds a fault layer")
+        .dead;
+    let routers = (0..sim.net.routers.len())
+        .filter(|&i| dead.router_dead(i))
+        .map(|i| NodeId(i as u16))
+        .collect();
+    (dead.dead_link_list(cols, rows), routers)
+}
+
+/// The dead hardware a certified epoch names.
+fn certified_dead(report: &noc_verify::Report) -> (Vec<(NodeId, Direction)>, Vec<NodeId>) {
+    let dead = report.dead.as_ref().expect("epochs are degraded reports");
+    (dead.links.clone(), dead.routers.clone())
+}
+
+/// Router 5 and the link (5, East) beside it start dead; router 5 heals at
+/// cycle 100. The link is dead on its own account, so it stays dead until
+/// its own heal at cycle 200 — in the validator, the certifier and the
+/// engine alike.
+#[test]
+fn listed_dead_link_survives_the_heal_of_the_router_beside_it() {
+    let east = (NodeId(5), Direction::East);
+    let fault = |then: FaultAction| {
+        FaultConfig::default()
+            .with_dead_routers(vec![NodeId(5)])
+            .with_dead_links(vec![east])
+            .with_schedule(FaultSchedule::new(vec![
+                FaultEvent {
+                    at: 100,
+                    action: FaultAction::HealRouter(NodeId(5)),
+                },
+                FaultEvent {
+                    at: 200,
+                    action: then,
+                },
+            ]))
+    };
+    let heal = fault(FaultAction::HealLink(east.0, east.1));
+    assert!(heal.validate(4, 4).is_ok());
+    assert_eq!(
+        fault(FaultAction::KillLink(east.0, east.1))
+            .validate(4, 4)
+            .unwrap_err(),
+        "fault schedule: kill of already-dead link (n5, East) at cycle 200"
+    );
+
+    let cfg = NetConfig::synth(4, 2)
+        .with_routing(noc_types::RoutingAlgo::Uniform(
+            noc_types::BaseRouting::AdaptiveMinimal,
+        ))
+        .with_fault(heal);
+    let epochs = certify_schedule(&cfg).unwrap();
+    assert_eq!(epochs[0].action, "100:hr:5");
+    assert_eq!(certified_dead(&epochs[0].report), (vec![east], vec![]));
+    assert_eq!(certified_dead(&epochs[1].report), (vec![], vec![]));
+
+    let mut sim = Sim::new(cfg, Box::new(IdleWorkload), Box::new(NoMechanism));
+    sim.run(150);
+    assert_eq!(engine_dead(&sim), (vec![east], vec![]));
+    assert!(sim.net.neighbor(east.0, east.1).is_none(), "link rewired");
+    sim.run(100);
+    assert_eq!(engine_dead(&sim), (vec![], vec![]));
+    assert_eq!(sim.net.neighbor(east.0, east.1), Some(NodeId(6)));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random valid schedules over random explicit initial dead lists: after
+    /// each event's cycle the engine's live dead set is the one the
+    /// certifier certified for that epoch, and both name the epoch alike.
+    #[test]
+    fn engine_and_certifier_agree_on_every_epoch(
+        k in 3u8..5,
+        raw_links in prop::collection::vec((0u16..64, 0u8..2), 0..3),
+        raw_routers in prop::collection::vec(0u16..64, 0..2),
+        raw_events in prop::collection::vec((0u8..2, 0u16..64, 0u8..4, 0u64..3), 1..10),
+    ) {
+        let n = u16::from(k) * u16::from(k);
+        let mut routers: Vec<NodeId> = raw_routers.iter().map(|r| NodeId(r % n)).collect();
+        routers.dedup();
+        let initial = FaultConfig::default()
+            .with_dead_links(dead_links_from_raw(&raw_links, k))
+            .with_dead_routers(routers);
+        let healthy = NetConfig::synth(k, 1).with_fault(initial.clone());
+        if !certify_degraded(&healthy).routing.routable() {
+            return Ok(()); // the engine refuses a disconnected starting mesh
+        }
+        // Each draw tries a kill, then a heal, of one router or link, and
+        // keeps whichever the timeline accepts (a gap of 0 shares a cycle).
+        let mut events: Vec<FaultEvent> = Vec::new();
+        let mut at = 20;
+        for &(router, node, dir, gap) in &raw_events {
+            at += gap * 30;
+            let (node, dir) = (NodeId(node % n), Direction::from_index(usize::from(dir)));
+            let tries = if router == 0 {
+                [FaultAction::KillRouter(node), FaultAction::HealRouter(node)]
+            } else {
+                [FaultAction::KillLink(node, dir), FaultAction::HealLink(node, dir)]
+            };
+            for action in tries {
+                events.push(FaultEvent { at, action });
+                let schedule = FaultSchedule::new(events.clone());
+                if initial.clone().with_schedule(schedule).validate(k, k).is_ok() {
+                    break;
+                }
+                events.pop();
+            }
+        }
+        if events.is_empty() {
+            return Ok(());
+        }
+        let cfg = healthy.with_fault(initial.with_schedule(FaultSchedule::new(events.clone())));
+        let certs = certify_schedule(&cfg)?;
+        prop_assert_eq!(certs.len(), events.len());
+        let mut sim = Sim::new(cfg, Box::new(IdleWorkload), Box::new(NoMechanism));
+        for (i, ev) in events.iter().enumerate() {
+            if events.get(i + 1).is_some_and(|next| next.at == ev.at) {
+                continue; // only the last event of a cycle's batch holds after it
+            }
+            while sim.net.cycle <= ev.at {
+                sim.step();
+            }
+            prop_assert_eq!(engine_dead(&sim), certified_dead(&certs[i].report), "after {}", certs[i].action);
+        }
+        let trace: Vec<&str> = sim.net.stats.epochs.iter().map(|e| e.action.as_str()).collect();
+        let keys: Vec<&str> = certs.iter().map(|c| c.action.as_str()).collect();
+        prop_assert_eq!(trace, keys);
+    }
 
     /// Deadlockable witnesses stay minimal on randomly degraded meshes,
     /// where the masked routing produces CDGs no healthy config exhibits.
