@@ -29,8 +29,8 @@ use std::io::{Read, Write};
 use std::time::Duration;
 
 use noc_experiments::jsonio;
+use noc_experiments::sweep::{load_line, LoadedLine};
 use noc_net::Transport;
-use noc_store::LineCheck;
 
 /// Retry/backoff knobs.
 #[derive(Clone, Debug)]
@@ -184,10 +184,25 @@ impl Client {
         path: &str,
         body: &str,
     ) -> Result<Response, ClientError> {
+        self.retrying(method, path, body, |resp| Ok(Ok(resp)))
+    }
+
+    /// The one retry loop. `settle` turns a non-retryable response into
+    /// the call's answer, or into `Err(why)` when the response itself is
+    /// damaged (a row that fails its seal) and the request must be retried.
+    fn retrying<T>(
+        &self,
+        method: &str,
+        path: &str,
+        body: &str,
+        settle: impl Fn(Response) -> Result<Result<T, ClientError>, String>,
+    ) -> Result<T, ClientError> {
         let mut last = String::from("no attempts made");
+        let mut retry_after_ms = None;
         for attempt in 1..=self.opts.max_attempts.max(1) {
             if attempt > 1 {
-                std::thread::sleep(Duration::from_millis(self.backoff_ms(attempt - 1, &last)));
+                let wait = self.backoff_ms(attempt - 1, retry_after_ms.take());
+                std::thread::sleep(Duration::from_millis(wait));
             }
             match self.one_request(method, path, body) {
                 Ok(resp) if retryable_status(resp.code) => {
@@ -195,11 +210,12 @@ impl Client {
                         "HTTP {} (retry-after {:?} ms): {}",
                         resp.code, resp.retry_after_ms, resp.body
                     );
-                    if let Some(ra) = resp.retry_after_ms {
-                        last = format!("{last}|ra={ra}");
-                    }
+                    retry_after_ms = resp.retry_after_ms;
                 }
-                Ok(resp) => return Ok(resp),
+                Ok(resp) => match settle(resp) {
+                    Ok(answer) => return answer,
+                    Err(why) => last = why,
+                },
                 Err(e) => last = e,
             }
         }
@@ -209,17 +225,11 @@ impl Client {
     /// The sleep before the retry following failed attempt `n` (1-based):
     /// [`noc_store::backoff`], stretched toward the server's `Retry-After`
     /// when one was sent (the backoff's own cap still wins).
-    fn backoff_ms(&self, failed_attempt: u32, last: &str) -> u64 {
+    fn backoff_ms(&self, failed_attempt: u32, retry_after_ms: Option<u64>) -> u64 {
         let base = self.opts.retry_base_ms.max(1);
         let cap = noc_store::backoff(base, u32::MAX);
-        let mut wait = noc_store::backoff(base, failed_attempt);
-        if let Some(ra) = last
-            .rsplit_once("|ra=")
-            .and_then(|(_, v)| v.parse::<u64>().ok())
-        {
-            wait = wait.max(ra);
-        }
-        wait.min(cap)
+        let wait = noc_store::backoff(base, failed_attempt);
+        wait.max(retry_after_ms.unwrap_or(0)).min(cap)
     }
 
     /// Submits a job spec (a flat JSON object). `true` means newly
@@ -273,32 +283,14 @@ impl Client {
     /// and is retried like any other tear; the returned payloads have the
     /// seals stripped.
     pub fn rows_verified(&self, id: &str) -> Result<Vec<String>, ClientError> {
-        let path = format!("/jobs/{id}/rows");
-        let mut last = String::from("no attempts made");
-        for attempt in 1..=self.opts.max_attempts.max(1) {
-            if attempt > 1 {
-                std::thread::sleep(Duration::from_millis(self.backoff_ms(attempt - 1, &last)));
+        self.retrying("GET", &format!("/jobs/{id}/rows"), "", |resp| {
+            if resp.code != 200 {
+                return Ok(Err(ClientError::Http(resp.code, resp.body)));
             }
-            let resp = match self.one_request("GET", &path, "") {
-                Ok(resp) if retryable_status(resp.code) => {
-                    last = format!("HTTP {}: {}", resp.code, resp.body);
-                    continue;
-                }
-                Ok(resp) if resp.code != 200 => {
-                    return Err(ClientError::Http(resp.code, resp.body))
-                }
-                Ok(resp) => resp,
-                Err(e) => {
-                    last = e;
-                    continue;
-                }
-            };
-            match verify_rows(&resp.body) {
-                Ok(rows) => return Ok(rows),
-                Err(why) => last = format!("row verification failed: {why}"),
-            }
-        }
-        Err(ClientError::GaveUp(last))
+            verify_rows(&resp.body)
+                .map(Ok)
+                .map_err(|why| format!("row verification failed: {why}"))
+        })
     }
 
     /// Waits until the job is terminal, tolerating transient failures
@@ -344,23 +336,20 @@ fn retryable_status(code: u16) -> bool {
     code == 408 || code == 429 || code >= 500
 }
 
-/// Verifies a JSONL rows payload line by line. `Err` names the first
-/// offending line.
+/// Verifies a JSONL rows payload line by line with the journal's own line
+/// check ([`load_line`]): sealed rows must pass their CRC, legacy unsealed
+/// rows must parse. Returns the payloads, seals stripped; `Err` names the
+/// first offending line.
 pub fn verify_rows(body: &str) -> Result<Vec<String>, String> {
     let mut rows = Vec::new();
     for (i, line) in body.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match noc_store::open_line(line) {
-            LineCheck::Sealed(payload) => rows.push(payload.to_string()),
-            LineCheck::Legacy(payload) if jsonio::parse_flat(payload).is_some() => {
-                rows.push(payload.to_string());
-            }
-            LineCheck::Legacy(_) => {
+        match load_line(line) {
+            LoadedLine::Blank => {}
+            LoadedLine::Row(payload, _) => rows.push(payload.to_string()),
+            LoadedLine::Torn => {
                 return Err(format!("line {} is neither sealed nor parseable", i + 1))
             }
-            LineCheck::Corrupt => return Err(format!("line {} failed its CRC seal", i + 1)),
+            LoadedLine::Corrupt => return Err(format!("line {} failed its CRC seal", i + 1)),
         }
     }
     Ok(rows)
@@ -478,13 +467,13 @@ mod tests {
             Transport::passthrough(),
         );
         // base << (n-1), capped at 64x.
-        assert_eq!(client.backoff_ms(1, ""), 10);
-        assert_eq!(client.backoff_ms(2, ""), 20);
-        assert_eq!(client.backoff_ms(7, ""), 640);
-        assert_eq!(client.backoff_ms(11, ""), 640);
+        assert_eq!(client.backoff_ms(1, None), 10);
+        assert_eq!(client.backoff_ms(2, None), 20);
+        assert_eq!(client.backoff_ms(7, None), 640);
+        assert_eq!(client.backoff_ms(11, None), 640);
         // Retry-After stretches the wait but never past the cap.
-        assert_eq!(client.backoff_ms(1, "x|ra=300"), 300);
-        assert_eq!(client.backoff_ms(1, "x|ra=5000"), 640);
+        assert_eq!(client.backoff_ms(1, Some(300)), 300);
+        assert_eq!(client.backoff_ms(1, Some(5000)), 640);
         // A huge base saturates; it never wraps to a zero sleep.
         let base = 1 << 58;
         let huge = Client::with_transport(
@@ -496,7 +485,7 @@ mod tests {
             Transport::passthrough(),
         );
         for n in 1..12 {
-            assert!(huge.backoff_ms(n, "") >= base, "attempt {n}");
+            assert!(huge.backoff_ms(n, None) >= base, "attempt {n}");
         }
     }
 }

@@ -6,29 +6,33 @@
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use noc_client::{verify_rows, Client, ClientError, ClientOpts};
 use noc_net::Transport;
 
-/// Serves the scripted responses, one connection each, then exits. Each
-/// connection's request is read (best-effort) and discarded; the scripted
-/// bytes are written and the socket closed — a response cut mid-flight is
-/// exactly a prefix script entry.
-fn script_server(responses: Vec<Vec<u8>>) -> (String, std::thread::JoinHandle<()>) {
+/// Serves the scripted responses, one connection each, then exits with
+/// the instant each connection was accepted. Each connection's request is
+/// read (best-effort) and discarded; the scripted bytes are written and the
+/// socket closed — a response cut mid-flight is exactly a prefix script
+/// entry.
+fn script_server(responses: Vec<Vec<u8>>) -> (String, std::thread::JoinHandle<Vec<Instant>>) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let handle = std::thread::spawn(move || {
+        let mut arrivals = Vec::new();
         for resp in responses {
             let Ok((mut s, _)) = listener.accept() else {
-                return;
+                return arrivals;
             };
+            arrivals.push(Instant::now());
             s.set_read_timeout(Some(Duration::from_secs(5))).ok();
             let mut buf = [0u8; 4096];
             let _ = s.read(&mut buf); // the request; content irrelevant
             let _ = s.write_all(&resp);
             let _ = s.shutdown(Shutdown::Both);
         }
+        arrivals
     });
     (addr, handle)
 }
@@ -192,4 +196,30 @@ fn shed_statuses_are_retried() {
     let view = client.status("abc123").unwrap();
     assert_eq!(view.stage, "done");
     server.join().unwrap();
+}
+
+/// The server's unreadable-rows `503` carries `Retry-After: 1`: the rows
+/// fetch waits that second out, not just its own 50 ms backoff, before it
+/// asks again.
+#[test]
+fn rows_fetch_honours_retry_after() {
+    let body = sealed_rows_body();
+    let unreadable = b"HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\r\nContent-Length: 0\r\nConnection: close\r\n\r\n".to_vec();
+    let (addr, server) = script_server(vec![unreadable, http_200(&body)]);
+    let client = Client::with_transport(
+        &addr,
+        ClientOpts {
+            retry_base_ms: 50,
+            max_attempts: 3,
+            op_timeout_ms: 5_000,
+        },
+        Transport::passthrough(),
+    );
+    assert_eq!(
+        client.rows_verified("job").unwrap(),
+        verify_rows(&body).unwrap()
+    );
+    let arrivals = server.join().unwrap();
+    let gap = arrivals[1] - arrivals[0];
+    assert!(gap >= Duration::from_millis(900), "retried after {gap:?}");
 }

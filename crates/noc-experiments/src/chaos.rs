@@ -30,9 +30,9 @@
 //! [`Checkpoint`] (resume by key, torn-line repair, quarantine) through
 //! the one per-case step in this module, `record_case`.
 
-use crate::jsonio::{self, JsonObj};
+use crate::jsonio::JsonObj;
 use crate::runner::Scheme;
-use crate::sweep::{run_key, Checkpoint};
+use crate::sweep::{load_line, run_key, Checkpoint, LoadedLine};
 use noc_sim::stats::DeliveredPacket;
 use noc_sim::workload::Workload;
 use noc_sim::{watchdog, Sim, Stats};
@@ -933,25 +933,22 @@ pub fn repro_line(case: &ChaosCase, f: &Failure) -> String {
 pub fn replay(path: &Path, dump_dir: &Path) -> Result<String, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let line = text
-        .lines()
-        .next()
-        .ok_or_else(|| format!("{} is empty", path.display()))?;
     // Accept both sealed (CRC-trailered) and plain repro lines; a sealed
     // line whose CRC fails is corruption, reported as such rather than as
     // a parse error.
-    let line = match noc_store::open_line(line) {
-        noc_store::LineCheck::Sealed(payload) => payload,
-        noc_store::LineCheck::Legacy(l) => l,
-        noc_store::LineCheck::Corrupt => {
+    let row = match text.lines().next().map(load_line) {
+        None | Some(LoadedLine::Blank) => return Err(format!("{} is empty", path.display())),
+        Some(LoadedLine::Row(_, row)) => row,
+        Some(LoadedLine::Corrupt) => {
             return Err(format!(
                 "{} failed its CRC check (torn or corrupt record)",
                 path.display()
             ))
         }
+        Some(LoadedLine::Torn) => {
+            return Err(format!("{} is not a flat repro row", path.display()))
+        }
     };
-    let row = jsonio::parse_flat(line)
-        .ok_or_else(|| format!("{} is not a flat repro row", path.display()))?;
     let case = ChaosCase::from_row(&row)?;
     let want_status = row
         .get("expect_status")
@@ -1130,6 +1127,7 @@ pub fn wedged_adaptive_case() -> ChaosCase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jsonio;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("seec_chaos_{tag}_{}", std::process::id()));

@@ -2,14 +2,13 @@
 //! and watchdog black-box dumps (`results/blackbox_*.json`).
 //!
 //! The workspace has no serialization dependency, so the sweep runner
-//! writes and re-reads its own JSON. Checkpoint rows are *flat*
-//! single-line objects (strings, numbers, booleans) handled by
-//! [`parse_flat`]; the parser is deliberately tolerant — an unparseable
-//! line in a checkpoint (e.g. a torn write from a killed process) is
-//! skipped, never fatal, so a crashed sweep can always resume. Black-box
-//! dumps are *nested* documents (arrays of per-VC objects, a wait-cycle
-//! witness, …) handled by [`parse_value`], which post-mortem tooling and
-//! the schema tests use to read a dump back.
+//! writes and re-reads its own JSON with one reader. Checkpoint rows are
+//! *flat* single-line objects (strings, numbers, booleans) read by
+//! [`parse_flat`]; a line that is not one (e.g. a torn write from a killed
+//! process) comes back `None` — skipped, never fatal, so a crashed sweep
+//! can always resume. Black-box dumps are *nested* documents (arrays of
+//! per-VC objects, a wait-cycle witness, …) read by [`parse_value`], which
+//! post-mortem tooling and the schema tests use to read a dump back.
 
 use std::collections::BTreeMap;
 
@@ -89,101 +88,31 @@ impl JsonObj {
     }
 }
 
-/// Parses one flat JSON object line into a key → raw-value map.
-///
-/// Values are returned unescaped for strings and verbatim for bare tokens
-/// (numbers, booleans). Returns `None` on anything that is not a flat
-/// object — nested objects/arrays, torn lines, garbage.
+/// Parses one flat JSON object line into a key → value map: strings come
+/// back unescaped, numbers and literals as their source text (so `0.0600`
+/// stays `"0.0600"` and integers above 2^53 stay exact). Returns `None` on
+/// anything that is not a JSON object of scalars — nested objects/arrays,
+/// torn lines, garbage. This is [`parse_value`]'s parser, walking the one
+/// object without building a tree.
 pub fn parse_flat(line: &str) -> Option<BTreeMap<String, String>> {
-    let s = line.trim();
-    let inner = s.strip_prefix('{')?.strip_suffix('}')?;
+    let mut p = Parser::new(line);
     let mut map = BTreeMap::new();
-    let mut chars = inner.char_indices().peekable();
-
-    // Scans a JSON string starting at the opening quote; returns the
-    // unescaped contents, leaving the iterator just past the closing quote.
-    fn scan_string(chars: &mut std::iter::Peekable<std::str::CharIndices>) -> Option<String> {
-        match chars.next() {
-            Some((_, '"')) => {}
-            _ => return None,
-        }
-        let mut out = String::new();
-        loop {
-            let (_, c) = chars.next()?;
-            match c {
-                '"' => return Some(out),
-                '\\' => {
-                    let (_, e) = chars.next()?;
-                    match e {
-                        '"' => out.push('"'),
-                        '\\' => out.push('\\'),
-                        'n' => out.push('\n'),
-                        'r' => out.push('\r'),
-                        't' => out.push('\t'),
-                        'u' => {
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                let (_, h) = chars.next()?;
-                                code = code * 16 + h.to_digit(16)?;
-                            }
-                            out.push(char::from_u32(code)?);
-                        }
-                        _ => return None,
-                    }
-                }
-                c => out.push(c),
-            }
-        }
-    }
-
-    loop {
-        // Skip whitespace and separators before a key.
-        while matches!(chars.peek(), Some((_, c)) if c.is_whitespace() || *c == ',') {
-            chars.next();
-        }
-        if chars.peek().is_none() {
-            return Some(map);
-        }
-        let key = scan_string(&mut chars)?;
-        while matches!(chars.peek(), Some((_, c)) if c.is_whitespace()) {
-            chars.next();
-        }
-        match chars.next() {
-            Some((_, ':')) => {}
-            _ => return None,
-        }
-        while matches!(chars.peek(), Some((_, c)) if c.is_whitespace()) {
-            chars.next();
-        }
-        let val = match chars.peek() {
-            Some((_, '"')) => scan_string(&mut chars)?,
-            // Nested values mean the line is not flat; torn lines end early.
-            Some((_, '{' | '[')) | None => return None,
-            Some(_) => {
-                let mut tok = String::new();
-                while let Some((_, c)) = chars.peek() {
-                    if *c == ',' {
-                        break;
-                    }
-                    tok.push(*c);
-                    chars.next();
-                }
-                tok.trim().to_string()
-            }
-        };
-        map.insert(key, val);
-    }
+    p.object(0, |key, v| {
+        map.insert(key, v.into_text()?);
+        Some(())
+    })?;
+    p.at_end().then_some(map)
 }
 
 /// A parsed JSON value, for reading *nested* documents (the watchdog
-/// black-box dumps). Checkpoint rows stay on the flat [`parse_flat`] path.
+/// black-box dumps, bench reports). Checkpoint rows use [`parse_flat`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum JsonValue {
     Null,
     Bool(bool),
-    /// All JSON numbers parse as `f64`; the dumps' counters are well within
-    /// the 2^53 exact-integer range.
-    Num(f64),
+    /// A number as its source text; [`JsonValue::as_f64`] and
+    /// [`JsonValue::as_u64`] read it.
+    Num(String),
     Str(String),
     Arr(Vec<JsonValue>),
     Obj(BTreeMap<String, JsonValue>),
@@ -207,16 +136,20 @@ impl JsonValue {
 
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            JsonValue::Num(n) => Some(*n),
+            JsonValue::Num(n) => n.parse().ok(),
             _ => None,
         }
     }
 
-    /// The value as an exactly-representable unsigned integer.
+    /// The value as an unsigned integer: exact when written as one, else a
+    /// non-negative whole float.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+            JsonValue::Num(n) => n.parse().ok().or_else(|| {
+                let f = self.as_f64()?;
+                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+                (f >= 0.0 && f.fract() == 0.0).then_some(f as u64)
+            }),
             _ => None,
         }
     }
@@ -231,6 +164,16 @@ impl JsonValue {
     pub fn is_null(&self) -> bool {
         matches!(self, JsonValue::Null)
     }
+
+    /// A scalar as a flat row holds it; `None` for arrays and objects.
+    fn into_text(self) -> Option<String> {
+        match self {
+            JsonValue::Null => Some("null".to_string()),
+            JsonValue::Bool(b) => Some(b.to_string()),
+            JsonValue::Num(s) | JsonValue::Str(s) => Some(s),
+            JsonValue::Arr(_) | JsonValue::Obj(_) => None,
+        }
+    }
 }
 
 /// Nesting cap for [`parse_value`]: deep enough for any dump this
@@ -240,28 +183,41 @@ const MAX_DEPTH: u32 = 64;
 
 /// Parses a complete JSON document (nested objects and arrays allowed)
 /// into a [`JsonValue`]. Returns `None` on malformed or truncated input —
-/// tolerant like [`parse_flat`], never panicking on a torn dump.
+/// never panicking on a torn dump.
 pub fn parse_value(text: &str) -> Option<JsonValue> {
-    let mut p = ValueParser {
-        chars: text.chars().peekable(),
-    };
+    let mut p = Parser::new(text);
     let v = p.value(0)?;
-    p.skip_ws();
-    if p.chars.peek().is_some() {
-        return None; // trailing garbage
-    }
-    Some(v)
+    p.at_end().then_some(v)
 }
 
-struct ValueParser<'a> {
+/// The one JSON reader behind [`parse_flat`] and [`parse_value`].
+struct Parser<'a> {
     chars: std::iter::Peekable<std::str::Chars<'a>>,
 }
 
-impl ValueParser<'_> {
+impl Parser<'_> {
+    fn new(text: &str) -> Parser<'_> {
+        Parser {
+            chars: text.chars().peekable(),
+        }
+    }
+
     fn skip_ws(&mut self) {
         while matches!(self.chars.peek(), Some(c) if c.is_whitespace()) {
             self.chars.next();
         }
+    }
+
+    /// Skips whitespace, then consumes `expect` or fails.
+    fn eat(&mut self, expect: char) -> Option<()> {
+        self.skip_ws();
+        (self.chars.next()? == expect).then_some(())
+    }
+
+    /// True when only whitespace is left: anything else is trailing garbage.
+    fn at_end(&mut self) -> bool {
+        self.skip_ws();
+        self.chars.peek().is_none()
     }
 
     fn literal(&mut self, word: &str, v: JsonValue) -> Option<JsonValue> {
@@ -304,17 +260,43 @@ impl ValueParser<'_> {
         }
     }
 
+    /// A number, kept as its source text once it reads as one.
     fn number(&mut self) -> Option<JsonValue> {
         let mut tok = String::new();
-        while let Some(c) = self.chars.peek() {
-            if c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E') {
-                tok.push(*c);
-                self.chars.next();
-            } else {
+        while let Some(&c) = self.chars.peek() {
+            if !(c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E')) {
                 break;
             }
+            tok.push(c);
+            self.chars.next();
         }
-        tok.parse::<f64>().ok().map(JsonValue::Num)
+        tok.parse::<f64>().ok().map(|_| JsonValue::Num(tok))
+    }
+
+    /// Walks one object, handing every member to `member` in order.
+    fn object(
+        &mut self,
+        depth: u32,
+        mut member: impl FnMut(String, JsonValue) -> Option<()>,
+    ) -> Option<()> {
+        self.eat('{')?;
+        self.skip_ws();
+        if self.chars.peek() == Some(&'}') {
+            self.chars.next();
+            return Some(());
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.eat(':')?;
+            member(key, self.value(depth + 1)?)?;
+            self.skip_ws();
+            match self.chars.next()? {
+                '}' => return Some(()),
+                ',' => {}
+                _ => return None,
+            }
+        }
     }
 
     fn value(&mut self, depth: u32) -> Option<JsonValue> {
@@ -346,28 +328,12 @@ impl ValueParser<'_> {
                 }
             }
             '{' => {
-                self.chars.next();
                 let mut map = BTreeMap::new();
-                self.skip_ws();
-                if self.chars.peek() == Some(&'}') {
-                    self.chars.next();
-                    return Some(JsonValue::Obj(map));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    if self.chars.next()? != ':' {
-                        return None;
-                    }
-                    map.insert(key, self.value(depth + 1)?);
-                    self.skip_ws();
-                    match self.chars.next()? {
-                        '}' => return Some(JsonValue::Obj(map)),
-                        ',' => {}
-                        _ => return None,
-                    }
-                }
+                self.object(depth, |key, v| {
+                    map.insert(key, v);
+                    Some(())
+                })?;
+                Some(JsonValue::Obj(map))
             }
             _ => self.number(),
         }
@@ -410,6 +376,36 @@ mod tests {
         assert!(parse_flat("{\"a\": {\"b\": 1}}").is_none()); // nested
         assert!(parse_flat("not json at all").is_none());
         assert!(parse_flat("{\"a\"}").is_none());
+    }
+
+    #[test]
+    fn flat_parser_refuses_lines_that_are_not_json() {
+        for line in [
+            r#"{"rate": NaN}"#,
+            r#"{"a": 1 "b": 2}"#,
+            r#"{"a": 1,}"#,
+            r#"{, "a": 1}"#,
+            r#"{"ok": tru}"#,
+            r#"{"a": 1,, "b": 2}"#,
+        ] {
+            assert!(parse_flat(line).is_none(), "{line}");
+        }
+        assert_eq!(
+            parse_flat(r#"{"ok": true, "v": null}"#).unwrap()["v"],
+            "null"
+        );
+    }
+
+    #[test]
+    fn numbers_keep_their_source_text() {
+        let line = r#"{"seed": 18446744073709551615, "odd": 9007199254740993, "r": 0.0600}"#;
+        let row = parse_flat(line).unwrap();
+        assert_eq!(row["odd"], "9007199254740993");
+        let v = parse_value(line).unwrap();
+        assert_eq!(v.get("seed").unwrap().as_u64(), Some(u64::MAX));
+        assert_eq!(v.get("odd").unwrap().as_u64(), Some(9_007_199_254_740_993));
+        assert_eq!(v.get("r").unwrap().as_f64(), Some(0.06));
+        assert_eq!(v.get("r").unwrap().as_u64(), None);
     }
 
     #[test]

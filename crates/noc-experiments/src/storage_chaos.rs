@@ -19,14 +19,14 @@
 //! `NOC_VFS_FAULT_SCHEDULE` that reproduces it. The sweep itself — loop,
 //! time box, repro and verdict files — is [`crate::site_sweep`]'s.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 use crate::jsonio::JsonObj;
 use crate::runner::Scheme;
 use crate::site_sweep::{self, reset_dir, Case, SiteSweep, SiteSweepReport};
-use crate::sweep::{run_sweep_ctx, Checkpoint, FaultPoint};
-use noc_store::{FaultKind, FaultPlan, FaultVfs, LineCheck, StdVfs, Vfs};
+use crate::sweep::{load_line, quarantine_path, run_sweep_ctx, Checkpoint, FaultPoint, LoadedLine};
+use noc_store::{FaultKind, FaultPlan, FaultVfs, StdVfs, Vfs};
 use noc_types::fault::fnv1a;
 
 /// The sweep points the workload journals. Small enough that the full
@@ -71,13 +71,11 @@ fn journal_lines(vfs: &Arc<dyn Vfs>, path: &Path) -> (Vec<String>, usize) {
     };
     let mut payloads = Vec::new();
     let mut bad = 0usize;
-    for line in text.lines().filter(|l| !l.is_empty()) {
-        match noc_store::open_line(line) {
-            LineCheck::Sealed(p) => payloads.push(p.to_string()),
-            LineCheck::Legacy(l) if crate::jsonio::parse_flat(l).is_some() => {
-                payloads.push(l.to_string());
-            }
-            LineCheck::Legacy(_) | LineCheck::Corrupt => bad += 1,
+    for line in text.lines() {
+        match load_line(line) {
+            LoadedLine::Blank => {}
+            LoadedLine::Row(payload, _) => payloads.push(payload.to_string()),
+            LoadedLine::Corrupt | LoadedLine::Torn => bad += 1,
         }
     }
     payloads.sort();
@@ -164,7 +162,7 @@ pub fn run_storage_chaos(
         // journal holds no bad lines (they were compacted away), and
         // whatever was dropped sits in the quarantine file.
         let quarantined = std_vfs
-            .read_to_string(&quarantine_file(&journal))
+            .read_to_string(&quarantine_path(&journal))
             .map(|t| t.lines().filter(|l| !l.is_empty()).count())
             .unwrap_or(0);
         // Oracle 3: the whole-file artifact is the reference bytes —
@@ -199,17 +197,10 @@ pub fn run_storage_chaos(
     site_sweep::run(&sweep, out_dir, max_sites, kinds_under_test, run_case)
 }
 
-fn quarantine_file(journal: &Path) -> PathBuf {
-    let name = journal
-        .file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or("journal");
-    journal.with_file_name(format!("{name}.quarantine"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("seec_stchaos_{tag}_{}", std::process::id()));

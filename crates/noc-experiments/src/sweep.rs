@@ -170,7 +170,7 @@ pub(crate) fn run_key(
 
 /// The quarantine side file for a journal: `<journal>.quarantine`, holding
 /// the raw bytes of every bad line the loader dropped, for post-mortems.
-fn quarantine_path(path: &Path) -> PathBuf {
+pub(crate) fn quarantine_path(path: &Path) -> PathBuf {
     let name = path
         .file_name()
         .and_then(|n| n.to_str())
@@ -178,13 +178,14 @@ fn quarantine_path(path: &Path) -> PathBuf {
     path.with_file_name(format!("{name}.quarantine"))
 }
 
-/// Verdict of the journal loader on one line.
-enum LoadedLine {
+/// Verdict of the journal reader on one line.
+pub enum LoadedLine<'a> {
     /// Skipped silently: a blank line left behind by the append-recovery
-    /// protocol (see [`Checkpoint::record`]).
+    /// protocol (see [`noc_store::append_sealed`]).
     Blank,
-    /// A good row (sealed-and-verified, or legacy pre-CRC).
-    Row(BTreeMap<String, String>),
+    /// A good row (sealed-and-verified, or legacy pre-CRC): its payload,
+    /// trailer stripped, and its fields.
+    Row(&'a str, BTreeMap<String, String>),
     /// CRC/trailer damage: a sealed record that fails verification, or a
     /// verified payload that is not flat JSON.
     Corrupt,
@@ -192,24 +193,90 @@ enum LoadedLine {
     Torn,
 }
 
-/// Classifies one journal line. Shared by [`Checkpoint::open`] (repair +
-/// accounting) and [`Checkpoint::rows`] (read-back), so a bad record is
-/// *never* parsed as data on any path.
-fn load_line(line: &str) -> LoadedLine {
+/// The one line check: the seal first, then the flat-JSON parse. Every
+/// reader of a sealed journal — [`repair`], [`Checkpoint::rows`], the
+/// client's row verification, chaos replay — classifies through here, so
+/// a bad record is *never* parsed as data on any path.
+pub fn load_line(line: &str) -> LoadedLine<'_> {
     if line.is_empty() {
         return LoadedLine::Blank;
     }
-    match noc_store::open_line(line) {
-        noc_store::LineCheck::Sealed(payload) => match jsonio::parse_flat(payload) {
-            Some(row) => LoadedLine::Row(row),
-            None => LoadedLine::Corrupt,
-        },
-        noc_store::LineCheck::Corrupt => LoadedLine::Corrupt,
-        noc_store::LineCheck::Legacy(l) => match jsonio::parse_flat(l) {
-            Some(row) => LoadedLine::Row(row),
-            None => LoadedLine::Torn,
-        },
+    let (payload, damaged) = match noc_store::open_line(line) {
+        noc_store::LineCheck::Sealed(payload) => (payload, LoadedLine::Corrupt),
+        noc_store::LineCheck::Legacy(payload) => (payload, LoadedLine::Torn),
+        noc_store::LineCheck::Corrupt => return LoadedLine::Corrupt,
+    };
+    match jsonio::parse_flat(payload) {
+        Some(row) => LoadedLine::Row(payload, row),
+        None => damaged,
     }
+}
+
+/// What [`repair`] found in one journal.
+#[derive(Debug, Default)]
+pub struct Repaired {
+    /// The good rows, in journal order.
+    pub rows: Vec<BTreeMap<String, String>>,
+    /// Torn lines dropped: no trailer and unparseable.
+    pub torn: usize,
+    /// Corrupt lines dropped: a failed seal, or a sealed payload that is
+    /// not flat JSON.
+    pub corrupt: usize,
+}
+
+/// The open-time repair of a resumable journal (sweep and chaos
+/// checkpoints, the service's `state.jsonl`): every line goes through
+/// [`load_line`]; the dropped lines' raw bytes are appended to
+/// `<journal>.quarantine` (best effort — a failing quarantine must not
+/// block recovery); and when anything was dropped or blank the journal is
+/// rewritten atomically with exactly its good lines, byte-for-byte, so a
+/// crash *here* leaves the old or the new journal, never a hybrid, and a
+/// reopen counts nothing twice. A missing journal is an empty one. The
+/// compaction's outcome comes back beside the findings for the caller to
+/// weigh.
+pub fn repair(vfs: &dyn noc_store::Vfs, path: &Path) -> (Repaired, std::io::Result<()>) {
+    let mut found = Repaired::default();
+    let Ok(text) = vfs.read_to_string(path) else {
+        return (found, Ok(()));
+    };
+    let (mut kept, mut bad, mut blank) = (String::new(), String::new(), false);
+    for line in text.lines() {
+        match load_line(line) {
+            LoadedLine::Blank => blank = true,
+            LoadedLine::Row(_, row) => {
+                found.rows.push(row);
+                kept.push_str(line);
+                kept.push('\n');
+            }
+            dropped => {
+                if matches!(dropped, LoadedLine::Torn) {
+                    found.torn += 1;
+                } else {
+                    found.corrupt += 1;
+                }
+                bad.push_str(line);
+                bad.push('\n');
+            }
+        }
+    }
+    if bad.is_empty() && !blank {
+        return (found, Ok(()));
+    }
+    let quarantine = quarantine_path(path);
+    if !bad.is_empty() {
+        if let Ok(mut q) = vfs.open_append(&quarantine) {
+            let _ = q.append(bad.as_bytes());
+        }
+        eprintln!(
+            "journal {}: dropped {} torn and {} corrupt line(s), quarantined to {}",
+            path.display(),
+            found.torn,
+            found.corrupt,
+            quarantine.display(),
+        );
+    }
+    let compacted = vfs.write_atomic(path, kept.as_bytes());
+    (found, compacted)
 }
 
 /// Append-only record of completed datapoints (`*.ckpt.jsonl`): one flat
@@ -250,68 +317,22 @@ impl Checkpoint {
                 vfs.create_dir_all(parent)?;
             }
         }
-        let mut done = HashSet::new();
-        let mut kept = String::new();
-        let mut bad = String::new();
-        let mut blank = 0usize;
-        let mut torn_dropped = 0usize;
-        let mut corrupt_dropped = 0usize;
-        if let Ok(text) = vfs.read_to_string(path) {
-            for line in text.lines() {
-                match load_line(line) {
-                    LoadedLine::Blank => blank += 1,
-                    LoadedLine::Row(row) => {
-                        if let Some(k) = row.get("key") {
-                            done.insert(k.clone());
-                        }
-                        kept.push_str(line);
-                        kept.push('\n');
-                    }
-                    LoadedLine::Corrupt => {
-                        corrupt_dropped += 1;
-                        bad.push_str(line);
-                        bad.push('\n');
-                    }
-                    LoadedLine::Torn => {
-                        torn_dropped += 1;
-                        bad.push_str(line);
-                        bad.push('\n');
-                    }
-                }
-            }
-        }
-        if !bad.is_empty() {
-            // Quarantine first (append — earlier incidents stay), so the
-            // dropped bytes survive the compaction for post-mortems. Best
-            // effort: a failing quarantine write must not block recovery.
-            if let Ok(mut q) = vfs.open_append(&quarantine_path(path)) {
-                let _ = q.append(bad.as_bytes());
-            }
-        }
-        if torn_dropped + corrupt_dropped + blank > 0 {
-            // Compact the journal: keep every good row byte-for-byte, drop
-            // the garbage and the recovery blanks. Atomic replace, so a
-            // crash *here* leaves either the old or the new journal, never
-            // a half-written one.
-            vfs.write_atomic(path, kept.as_bytes())?;
-            if torn_dropped + corrupt_dropped > 0 {
-                eprintln!(
-                    "checkpoint {}: dropped {torn_dropped} torn and \
-                     {corrupt_dropped} corrupt line(s) (quarantined to \
-                     {}); the affected point(s) will re-execute",
-                    path.display(),
-                    quarantine_path(path).display(),
-                );
-            }
-        }
+        // A journal whose repair cannot land is not resumed from.
+        let (found, compacted) = repair(&*vfs, path);
+        compacted?;
+        let done = found
+            .rows
+            .into_iter()
+            .filter_map(|mut r| r.remove("key"))
+            .collect();
         let log = vfs.open_append(path)?;
         Ok(Checkpoint {
             path: path.to_path_buf(),
             vfs,
             done,
             log: Mutex::new(log),
-            torn_dropped,
-            corrupt_dropped,
+            torn_dropped: found.torn,
+            corrupt_dropped: found.corrupt,
             write_failed: AtomicBool::new(false),
         })
     }
@@ -360,31 +381,19 @@ impl Checkpoint {
         self.done.len()
     }
 
-    /// Appends one sealed row and flushes; returns whether the row is
-    /// durably in the journal. On an append error the bytes that landed
-    /// are unknown, so the bounded retries each prepend a newline: a stray
-    /// partial fragment becomes its own line — detected, quarantined, and
-    /// compacted away at the next open — and the blank lines the resyncs
-    /// leave behind are skipped silently. When every retry fails the
-    /// checkpoint latches [`Checkpoint::write_failed`] and the row is
-    /// dropped (its point stays missing and re-executes once storage
-    /// recovers).
+    /// Appends one sealed row through [`noc_store::append_sealed`]; returns
+    /// whether the row is durably in the journal. A fragment a failed
+    /// attempt left behind is quarantined and compacted away at the next
+    /// open. When every retry fails the checkpoint latches
+    /// [`Checkpoint::write_failed`] and the row is dropped (its point stays
+    /// missing and re-executes once storage recovers).
     #[must_use = "a false return means the row was NOT persisted"]
     pub fn record(&self, line: &str) -> bool {
-        let sealed = noc_store::seal_line(line);
         let mut log = self
             .log
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let wrote = noc_store::RetryPolicy::default().run(|attempt| {
-            let data = if attempt == 1 {
-                format!("{sealed}\n")
-            } else {
-                format!("\n{sealed}\n")
-            };
-            log.append(data.as_bytes())
-        });
-        match wrote {
+        match noc_store::append_sealed(&mut **log, line) {
             Ok(()) => true,
             Err(e) => {
                 self.write_failed.store(true, Ordering::SeqCst);
@@ -408,7 +417,7 @@ impl Checkpoint {
         };
         text.lines()
             .filter_map(|line| match load_line(line) {
-                LoadedLine::Row(row) => Some(row),
+                LoadedLine::Row(_, row) => Some(row),
                 LoadedLine::Blank | LoadedLine::Corrupt | LoadedLine::Torn => None,
             })
             .collect()

@@ -12,16 +12,17 @@
 //! | drain (SIGTERM)          | running jobs parked as CHECKPOINTED, queue closed, workers joined |
 //! | `kill -9`                | next boot adopts the journals: non-terminal jobs requeue and resume from `rows.ckpt.jsonl`; a torn final row is repaired and re-executed |
 //! | storage write fails      | running jobs park as CHECKPOINTED with their rows intact and the service flips to read-only DEGRADED: submissions get `StorageDegraded` (HTTP 503 + `Retry-After`), `healthz` reports it, and a periodic probe write heals the service and requeues the parked jobs once storage recovers |
-//! | corrupt journal line     | detected by its CRC trailer at the next boot, dropped with exact accounting (`repaired_lines` / `corrupt_lines` in every status row), and compacted out of the journal |
+//! | torn or corrupt journal line | detected at the next boot by the one line check both journals share, quarantined to `<journal>.quarantine`, counted (`repaired_lines` / `corrupt_lines` in every status row), and compacted out of the journal |
 //!
 //! ## On-disk layout (under `data_dir`)
 //!
 //! ```text
-//! jobs/<id>/spec.json        the submitted spec (canonical rendering)
-//! jobs/<id>/state.jsonl      append-only stage transitions
-//! jobs/<id>/rows.ckpt.jsonl  per-unit results (the resume journal)
-//! jobs/<id>/dumps/           black-box dumps and repro files
-//! jobs/<id>/quarantine.json  written when retries are exhausted
+//! jobs/<id>/spec.json                   the submitted spec (canonical rendering)
+//! jobs/<id>/state.jsonl                 append-only stage transitions
+//! jobs/<id>/rows.ckpt.jsonl             per-unit results (the resume journal)
+//! jobs/<id>/<journal>.quarantine        raw lines a repair dropped from either journal
+//! jobs/<id>/dumps/                      black-box dumps and repro files
+//! jobs/<id>/quarantine.json             written when retries are exhausted
 //! ```
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -31,8 +32,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use noc_experiments::jsonio::{self, JsonObj};
+use noc_experiments::sweep::repair;
 use noc_experiments::{JobError, JobProgress};
-use noc_store::{LineCheck, Vfs};
+use noc_store::Vfs;
 
 use crate::lifecycle::Stage;
 use crate::queue::{BoundedQueue, QueueFull};
@@ -94,10 +96,13 @@ pub struct JobStatus {
     pub done: usize,
     pub total: usize,
     pub failed_units: usize,
-    /// Torn journal lines detected (by shape or CRC), quarantined, and
-    /// re-executed across this job's journals.
+    /// Torn lines the open-time repair dropped from this job's journals
+    /// (`state.jsonl` and the row journal). One rule for both: a line with
+    /// no CRC trailer that does not parse is torn (the tail of a killed
+    /// writer); a line whose trailer fails, or whose sealed payload is not
+    /// flat JSON, is corrupt. Either way it is quarantined, never parsed.
     pub repaired_lines: usize,
-    /// Lines whose CRC trailer failed outright — silent corruption that
+    /// Corrupt lines the same repair dropped — silent corruption that
     /// would have been parsed as data before checksummed framing.
     pub corrupt_lines: usize,
     /// Present when terminal-with-prejudice: the failure/cancel detail.
@@ -345,11 +350,11 @@ impl Shared {
     /// it against the lifecycle relation; an illegal edge is a scheduler
     /// bug and panics in tests (and is refused, loudly, in release).
     ///
-    /// The line carries a CRC trailer so a torn or bit-rotted record is
-    /// detected (never parsed) at the next boot. A failed append retries
-    /// with the newline-resync protocol, then trips DEGRADED — the
-    /// in-memory stage already advanced, so status stays truthful even
-    /// when the journal lags.
+    /// The line goes through [`noc_store::append_sealed`], so a torn or
+    /// bit-rotted record is detected (never parsed) at the next boot. An
+    /// append that exhausts its retries trips DEGRADED — the in-memory
+    /// stage already advanced, so status stays truthful even when the
+    /// journal lags.
     ///
     /// Every edge wakes the registry's waiters; a terminal edge also
     /// enters the job into the eviction order.
@@ -369,21 +374,11 @@ impl Shared {
             .u64_field("attempts", u64::from(entry.attempts))
             .str_field("detail", detail)
             .finish();
-        let sealed = noc_store::seal_line(&line);
         let path = self.job_dir(id).join("state.jsonl");
-        let appended = self.vfs.open_append(&path).and_then(|mut log| {
-            noc_store::RetryPolicy::default().run(|attempt| {
-                // After a failed append the bytes on disk are unknown, so
-                // retries lead with a newline: a torn fragment becomes its
-                // own (CRC-detectable) line instead of a hybrid.
-                let framed = if attempt > 1 {
-                    format!("\n{sealed}\n")
-                } else {
-                    format!("{sealed}\n")
-                };
-                log.append(framed.as_bytes())
-            })
-        });
+        let appended = self
+            .vfs
+            .open_append(&path)
+            .and_then(|mut log| noc_store::append_sealed(&mut *log, &line));
         if let Err(e) = appended {
             self.mark_degraded(&format!("cannot journal {id} -> {to}: {e}"));
         }
@@ -774,12 +769,12 @@ fn adopt_one(
 
 /// Rebuilds one job's registry entry from its journals.
 ///
-/// Every `state.jsonl` line is verified against its CRC trailer first: a
-/// torn or bit-rotted record is dropped with exact accounting (surfaced as
-/// `repaired_lines` in the status row) and compacted out of the journal,
-/// so repeated restarts do not re-count the same damage. Pre-CRC lines
-/// (journals written before checksummed framing) are accepted as legacy
-/// when they still parse.
+/// `state.jsonl` gets the same open-time [`repair`] as a row journal: a
+/// torn or bit-rotted record is quarantined to `state.jsonl.quarantine`,
+/// counted (`repaired_lines` / `corrupt_lines` in the status row) and
+/// compacted out of the journal, so repeated restarts do not re-count the
+/// same damage. A compaction that fails never blocks adoption. Pre-CRC
+/// lines are accepted as legacy when they still parse.
 fn read_entry(shared: &Shared, dir: &Path, id: &str) -> Result<Entry, String> {
     let spec_line = shared
         .vfs
@@ -787,69 +782,32 @@ fn read_entry(shared: &Shared, dir: &Path, id: &str) -> Result<Entry, String> {
         .map_err(|e| format!("unreadable spec.json: {e}"))?;
     let row = jsonio::parse_flat(spec_line.trim()).ok_or("corrupt spec.json")?;
     let spec = JobSpec::parse(&row)?;
-    // Verify, then replay the transition journal, validating each edge;
-    // CRC-failed lines are repaired away and illegal edges end the
-    // believable history.
+    // Replay the believable transitions, validating each edge; illegal
+    // edges end the believable history.
     let mut stage = Stage::Queued;
     let mut attempts = 0u32;
     let mut error = None;
     let mut summary = None;
-    let mut state_repaired = 0usize;
-    if let Ok(text) = shared.vfs.read_to_string(&dir.join("state.jsonl")) {
-        let mut kept: Vec<&str> = Vec::new();
-        let mut payloads: Vec<String> = Vec::new();
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue; // newline-resync padding from an append retry
-            }
-            match noc_store::open_line(line) {
-                LineCheck::Sealed(payload) => {
-                    kept.push(line);
-                    payloads.push(payload.to_string());
-                }
-                LineCheck::Legacy(payload) if jsonio::parse_flat(payload).is_some() => {
-                    kept.push(line);
-                    payloads.push(payload.to_string());
-                }
-                LineCheck::Legacy(_) | LineCheck::Corrupt => state_repaired += 1,
-            }
+    let (state, _) = repair(&*shared.vfs, &dir.join("state.jsonl"));
+    // The first believable line is the QUEUED acceptance record, not a
+    // transition.
+    for row in state.rows.iter().skip(1) {
+        let Some(next) = row.get("stage").and_then(|s| Stage::parse(s)) else {
+            continue;
+        };
+        if !stage.permits(next) {
+            eprintln!("noc-serve: {id}: journal claims {stage} -> {next}; truncating history");
+            break;
         }
-        if state_repaired > 0 {
-            eprintln!(
-                "noc-serve: {id}: repairing state journal \
-                 ({state_repaired} torn/corrupt line(s) dropped)"
-            );
-            let mut fixed = kept.join("\n");
-            if !fixed.is_empty() {
-                fixed.push('\n');
-            }
-            let _ = shared
-                .vfs
-                .write_atomic(&dir.join("state.jsonl"), fixed.as_bytes());
+        stage = next;
+        if let Some(a) = row.get("attempts").and_then(|a| a.parse().ok()) {
+            attempts = a;
         }
-        // The first believable line is the QUEUED acceptance record, not a
-        // transition.
-        for payload in payloads.iter().skip(1) {
-            let Some(row) = jsonio::parse_flat(payload) else {
-                continue;
-            };
-            let Some(next) = row.get("stage").and_then(|s| Stage::parse(s)) else {
-                continue;
-            };
-            if !stage.permits(next) {
-                eprintln!("noc-serve: {id}: journal claims {stage} -> {next}; truncating history");
-                break;
-            }
-            stage = next;
-            if let Some(a) = row.get("attempts").and_then(|a| a.parse().ok()) {
-                attempts = a;
-            }
-            if let Some(d) = row.get("detail") {
-                match stage {
-                    Stage::Failed | Stage::Cancelled => error = Some(d.clone()),
-                    Stage::Done => summary = Some(d.clone()),
-                    _ => {}
-                }
+        if let Some(d) = row.get("detail") {
+            match stage {
+                Stage::Failed | Stage::Cancelled => error = Some(d.clone()),
+                Stage::Done => summary = Some(d.clone()),
+                _ => {}
             }
         }
     }
@@ -857,7 +815,8 @@ fn read_entry(shared: &Shared, dir: &Path, id: &str) -> Result<Entry, String> {
     progress
         .total
         .store(spec.to_job(dir, 1).total_units(), Ordering::Relaxed);
-    progress.repaired.store(state_repaired, Ordering::Relaxed);
+    progress.repaired.store(state.torn, Ordering::Relaxed);
+    progress.corrupt.store(state.corrupt, Ordering::Relaxed);
     // Terminal verdicts survive restarts untouched; everything else counts
     // its journaled rows as done and goes back to work.
     if !stage.is_terminal() {

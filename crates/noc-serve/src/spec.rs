@@ -77,6 +77,9 @@ impl JobSpec {
                 Some(v) => v.parse().map_err(|e| format!("field '{k}': {e}")),
             }
         };
+        let u8f = |k: &str, default: u8| -> Result<u8, String> {
+            u8::try_from(u64f(k, default.into())?).map_err(|e| format!("field '{k}': {e}"))
+        };
         let kind = match kind.as_str() {
             "sweep" => {
                 let source = if let Some(pool) = row.get("pool") {
@@ -111,8 +114,8 @@ impl JobSpec {
                     SweepSource::Custom {
                         schemes,
                         transients,
-                        k: u64f("k", 4)? as u8,
-                        vcs: u64f("vcs", 2)? as u8,
+                        k: u8f("k", 4)?,
+                        vcs: u8f("vcs", 2)?,
                         cycles: u64f("cycles", 3_000)?,
                         seed: u64f("seed", 0xA11CE)?,
                         rate: match row.get("rate") {
@@ -159,11 +162,13 @@ impl JobSpec {
                 Some(ms)
             }
         };
-        Ok(JobSpec {
+        let spec = JobSpec {
             kind,
             deadline_ms,
             fail_attempts: u64f("fail_attempts", 0)? as u32,
-        })
+        };
+        spec.points().iter().try_for_each(admissible)?;
+        Ok(spec)
     }
 
     /// Re-renders the spec as a flat row — `parse(to_row(s))` is identity.
@@ -306,6 +311,30 @@ impl JobSpec {
     }
 }
 
+/// The engine's own preconditions for one sweep point, checked at
+/// submission: a point that fails one would only panic inside the engine
+/// and end as a `failed` row. The error names the spec field.
+fn admissible(p: &FaultPoint) -> Result<(), String> {
+    if p.k < 2 {
+        return Err(format!(
+            "field 'k': a {0}x{0} mesh has fewer than 2 nodes",
+            p.k
+        ));
+    }
+    if p.vcs == 0 {
+        return Err("field 'vcs': must be at least 1".into());
+    }
+    if !(0.0..=1.0).contains(&p.rate) {
+        return Err(format!(
+            "field 'rate': {} is not a probability in [0, 1]",
+            p.rate
+        ));
+    }
+    p.config()
+        .validate()
+        .map_err(|e| format!("field 'transients': {e}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,6 +408,33 @@ mod tests {
         ] {
             let err = JobSpec::parse(&parse_line(line)).unwrap_err();
             assert!(err.contains(needle), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_points_are_refused_naming_the_field() {
+        for (field, value, needle) in [
+            ("k", "260", "field 'k'"),
+            ("vcs", "258", "field 'vcs'"),
+            ("k", "0", "field 'k'"),
+            ("k", "1", "field 'k'"),
+            ("vcs", "0", "field 'vcs'"),
+            ("rate", "NaN", "field 'rate'"),
+            ("rate", "-1", "field 'rate'"),
+            ("transients", "2.0", "field 'transients'"),
+        ] {
+            let line = format!(r#"{{"kind": "sweep", "schemes": "SEEC", "{field}": "{value}"}}"#);
+            let err = JobSpec::parse(&parse_line(&line)).unwrap_err();
+            assert!(err.contains(needle), "{line}: {err}");
+        }
+        for (field, value) in [
+            ("k", "2"),
+            ("vcs", "1"),
+            ("rate", "1"),
+            ("transients", "1.0"),
+        ] {
+            let line = format!(r#"{{"kind": "sweep", "schemes": "SEEC", "{field}": "{value}"}}"#);
+            assert!(JobSpec::parse(&parse_line(&line)).is_ok(), "{line}");
         }
     }
 

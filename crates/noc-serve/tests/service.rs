@@ -201,6 +201,35 @@ fn invalid_specs_are_rejected_with_field_names() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Points the engine could only panic on are refused at submission: `k`
+/// and `vcs` past `u8` no longer wrap onto an existing job, and meshes
+/// under 2 nodes, zero VCs and rates outside [0, 1] never reach a worker.
+#[test]
+fn out_of_range_specs_are_refused_before_admission() {
+    let dir = tmpdir("out_of_range");
+    let service = Service::open(opts(&dir)).unwrap();
+    let (first, created) = service.submit(&row(ONE_POINT)).unwrap();
+    assert!(created);
+    for (field, value) in [
+        ("k", "260"),
+        ("vcs", "258"),
+        ("k", "1"),
+        ("vcs", "0"),
+        ("rate", "NaN"),
+        ("transients", "2.0"),
+    ] {
+        let line = format!(r#"{{"kind": "sweep", "schemes": "SEEC", "{field}": "{value}"}}"#);
+        match service.submit(&row(&line)) {
+            Err(SubmitError::Invalid(e)) => assert!(e.contains(&format!("'{field}'")), "{e}"),
+            other => panic!("{line}: expected Invalid, got {other:?}"),
+        }
+    }
+    let listed: Vec<String> = service.list().into_iter().map(|s| s.id).collect();
+    assert_eq!(listed, vec![first.id]);
+    service.drain();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn cancelled_job_stays_cancelled_across_restart() {
     let dir = tmpdir("cancel");
@@ -365,9 +394,10 @@ fn corrupt_state_journal_line_is_repaired_and_counted_on_adoption() {
     drop(service);
 
     // Flip one byte inside the final (DONE) transition record. The CRC
-    // trailer catches it: the next boot drops exactly that line, compacts
-    // the journal, and the job — whose believable history now ends at
-    // RUNNING — is adopted and re-run to completion from its row journal.
+    // trailer catches it: the next boot quarantines exactly that line,
+    // compacts the journal, and the job — whose believable history now
+    // ends at RUNNING — is adopted and re-run to completion from its row
+    // journal.
     let state = dir.join("jobs").join(&status.id).join("state.jsonl");
     let mut bytes = std::fs::read(&state).unwrap();
     let line_starts: Vec<usize> = std::iter::once(0)
@@ -386,10 +416,13 @@ fn corrupt_state_journal_line_is_repaired_and_counted_on_adoption() {
         .unwrap();
     bytes[last_line + 10] ^= 0x20;
     std::fs::write(&state, &bytes).unwrap();
+    let flipped = String::from_utf8(bytes[last_line..].to_vec()).unwrap();
 
     let reborn = Service::open(o).unwrap();
     let s = reborn.status(&status.id).expect("adopted");
-    assert_eq!(s.repaired_lines, 1, "exact accounting of the dropped line");
+    assert_eq!(s.corrupt_lines, 1, "exact accounting of the dropped line");
+    let quarantined = std::fs::read_to_string(state.with_file_name("state.jsonl.quarantine"));
+    assert_eq!(quarantined.unwrap(), flipped, "the dropped bytes are kept");
     let redone = await_terminal(&reborn, &status.id);
     assert_eq!(redone.stage, Stage::Done, "{:?}", redone.error);
     // The journal was compacted: every surviving line verifies, so a third
@@ -398,8 +431,169 @@ fn corrupt_state_journal_line_is_repaired_and_counted_on_adoption() {
     drop(reborn);
     let third = Service::open(opts(&dir)).unwrap();
     assert_eq!(third.status(&status.id).unwrap().repaired_lines, 0);
+    assert_eq!(third.status(&status.id).unwrap().corrupt_lines, 0);
     third.drain();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Submits one job to a service without workers, so it rests QUEUED, and
+/// returns its id and journal path.
+fn parked_job(dir: &std::path::Path) -> (String, PathBuf) {
+    let mut o = opts(dir);
+    o.workers = 0;
+    let service = Service::open(o).unwrap();
+    let (status, _) = service.submit(&row(ONE_POINT)).unwrap();
+    service.drain();
+    let state = dir.join("jobs").join(&status.id).join("state.jsonl");
+    (status.id, state)
+}
+
+fn state_line(stage: &str, attempts: u64, detail: &str) -> String {
+    jsonio::JsonObj::new()
+        .str_field("stage", stage)
+        .u64_field("attempts", attempts)
+        .str_field("detail", detail)
+        .finish()
+}
+
+/// A `kill -9` mid-append tears the journal's last transition: the next
+/// boot quarantines the fragment, counts it as torn (`repaired_lines`, the
+/// row journal's rule) and adopts the job from the history before it.
+#[test]
+fn torn_state_journal_tail_is_quarantined_and_counted_as_repaired() {
+    let dir = tmpdir("state_torn");
+    let (id, state) = parked_job(&dir);
+    let done = noc_store::seal_line(&state_line("done", 1, "sweep: 1 executed"));
+    let text = std::fs::read_to_string(&state).unwrap();
+    let running = noc_store::seal_line(&state_line("running", 1, "start attempt 1"));
+    std::fs::write(&state, format!("{text}{running}\n{}", &done[..20])).unwrap();
+    let mut o = opts(&dir);
+    o.workers = 0;
+    let reborn = Service::open(o).unwrap();
+    let s = reborn.status(&id).expect("adopted");
+    assert_eq!((s.repaired_lines, s.corrupt_lines), (1, 0));
+    assert_eq!(s.stage, Stage::Checkpointed, "history ends at RUNNING");
+    let quarantined = std::fs::read_to_string(state.with_file_name("state.jsonl.quarantine"));
+    assert_eq!(quarantined.unwrap(), format!("{}\n", &done[..20]));
+    reborn.drain();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Adoption over storage that refuses every write: the quarantine and the
+/// compaction both fail, and the job is still adopted with its counts.
+#[test]
+fn failed_state_compaction_never_blocks_adoption() {
+    let dir = tmpdir("state_stuck");
+    let (id, state) = parked_job(&dir);
+    let text = std::fs::read_to_string(&state).unwrap();
+    std::fs::write(&state, format!("{text}garbage\n")).unwrap();
+    let mut o = opts(&dir);
+    o.workers = 0;
+    let stuck = FaultVfs::new(FaultPlan::default().with_event(0, FaultKind::Stuck));
+    let reborn = Service::open_with_vfs(o, Arc::new(stuck)).unwrap();
+    let s = reborn
+        .status(&id)
+        .expect("adopted despite the failed compaction");
+    assert_eq!((s.stage, s.repaired_lines), (Stage::Queued, 1));
+    assert_eq!(
+        std::fs::read_to_string(&state).unwrap(),
+        format!("{text}garbage\n")
+    );
+    reborn.drain();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Crafted `state.jsonl` journals adopted by a fresh boot: the status row
+/// and the journal left behind. Pinned when the state journal took the
+/// row journal's repair; before that, a CRC-failed line was counted under
+/// `repaired_lines`, nothing was quarantined and blank resync lines stayed.
+#[test]
+fn crafted_state_journals_adopt_as_pinned() {
+    let a = noc_store::seal_line(&state_line("queued", 0, "accepted"));
+    let r = noc_store::seal_line(&state_line("running", 1, "start attempt 1"));
+    let d = noc_store::seal_line(&state_line("done", 1, "sweep: 1 executed"));
+    let mut flipped = d.clone().into_bytes();
+    flipped[10] ^= 0x20;
+    let flipped = String::from_utf8(flipped).unwrap();
+    let legacy = [
+        state_line("queued", 0, "accepted"),
+        state_line("running", 1, "start attempt 1"),
+        state_line("done", 1, "sweep: 1 executed"),
+    ]
+    .join("\n");
+    let counts = |stage: &str, repaired: u32, corrupt: u32| {
+        let summary = if stage == "done" {
+            r#", "summary": "sweep: 1 executed""#
+        } else {
+            ""
+        };
+        format!(
+            r#"{{"id": "<id>", "stage": "{stage}", "attempts": 1, "done": 0, "total": 1, "failed_units": 0, "repaired_lines": {repaired}, "corrupt_lines": {corrupt}{summary}}}"#
+        )
+    };
+    let adopted = noc_store::seal_line(&state_line("checkpointed", 1, "adopted after crash"));
+    for (name, text, want_row, want_state, want_quarantine) in [
+        (
+            "clean",
+            format!("{a}\n{r}\n{d}\n"),
+            counts("done", 0, 0),
+            format!("{a}\n{r}\n{d}\n"),
+            None,
+        ),
+        (
+            "torn_tail",
+            format!("{a}\n{r}\n{}", &d[..20]),
+            counts("checkpointed", 1, 0),
+            format!("{a}\n{r}\n{adopted}\n"),
+            Some(format!("{}\n", &d[..20])),
+        ),
+        (
+            "crc_flip",
+            format!("{a}\n{r}\n{flipped}\n"),
+            counts("checkpointed", 0, 1),
+            format!("{a}\n{r}\n{adopted}\n"),
+            Some(format!("{flipped}\n")),
+        ),
+        (
+            "blank_resync",
+            format!("{a}\n\n{r}\n\n\n{d}\n"),
+            counts("done", 0, 0),
+            format!("{a}\n{r}\n{d}\n"),
+            None,
+        ),
+        (
+            "legacy",
+            format!("{legacy}\n"),
+            counts("done", 0, 0),
+            format!("{legacy}\n"),
+            None,
+        ),
+        (
+            "garbage_middle",
+            format!("{a}\nnot json\n{r}\n{d}\n"),
+            counts("done", 1, 0),
+            format!("{a}\n{r}\n{d}\n"),
+            Some("not json\n".to_string()),
+        ),
+    ] {
+        let dir = tmpdir(&format!("state_pin_{name}"));
+        let (id, state) = parked_job(&dir);
+        std::fs::write(&state, &text).unwrap();
+        let mut o = opts(&dir);
+        o.workers = 0;
+        let reborn = Service::open(o).unwrap();
+        let got = reborn.status(&id).expect("adopted").to_row();
+        assert_eq!(got.replace(&id, "<id>"), want_row, "{name}");
+        assert_eq!(
+            std::fs::read_to_string(&state).unwrap(),
+            want_state,
+            "{name}"
+        );
+        let quarantine = std::fs::read_to_string(state.with_file_name("state.jsonl.quarantine"));
+        assert_eq!(quarantine.ok(), want_quarantine, "{name}");
+        reborn.drain();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

@@ -12,9 +12,9 @@
 //!   simulator's `FaultSchedule`);
 //! * CRC32 record framing ([`seal_line`] / [`open_line`]) so a torn **or
 //!   corrupt** JSONL row is detected — never parsed as data;
-//! * bounded write-retry ([`RetryPolicy`]) under the workspace's one
-//!   capped exponential [`backoff`] before a failure escalates to the
-//!   caller;
+//! * the one sealed journal append ([`append_sealed`]): bounded retries
+//!   under the workspace's one capped exponential [`backoff`], each led by
+//!   a newline, before a failure escalates to the caller;
 //! * the generic fault [`Plan`] and [`Injector`] that this crate's
 //!   `FaultVfs` and `noc-net`'s fault transport both replay.
 //!
@@ -38,7 +38,7 @@ pub mod vfs;
 pub use fault::{FaultKind, FaultPlan, FaultVfs};
 pub use frame::{crc32, open_line, seal_line, LineCheck};
 pub use plan::{Injector, Kind, Plan};
-pub use vfs::{active, backoff, AppendLog, RetryPolicy, StdVfs, Vfs};
+pub use vfs::{active, append_sealed, backoff, AppendLog, StdVfs, Vfs};
 
 /// FNV-1a 64-bit — the workspace's canonical content-address hash, local
 /// so this crate stays dependency-free.

@@ -17,9 +17,9 @@ use std::sync::{Arc, OnceLock};
 /// An open append-only journal handle.
 pub trait AppendLog: Send {
     /// Appends `data` (`write_all` + flush). On error the number of bytes
-    /// that actually landed is unknown — callers recover with the
-    /// newline-resync protocol (see `noc_experiments::sweep::Checkpoint`),
-    /// never by blindly re-appending.
+    /// that actually landed is unknown — journal writers go through
+    /// [`append_sealed`], whose retries resync on a newline, never by
+    /// blindly re-appending.
     fn append(&mut self, data: &[u8]) -> io::Result<()>;
 }
 
@@ -160,43 +160,32 @@ pub fn backoff(base: u64, failed_attempts: u32) -> u64 {
     base.saturating_mul(1 << failed_attempts.saturating_sub(1).min(6))
 }
 
-/// Bounded retry under [`backoff`]. The write paths use this before
-/// escalating a storage failure.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Total attempts (including the first).
-    pub attempts: u32,
-    /// Backoff base in milliseconds.
-    pub base_ms: u64,
-}
+/// Attempts [`append_sealed`] makes before it surfaces the error.
+const APPEND_ATTEMPTS: u32 = 3;
 
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            attempts: 3,
-            base_ms: 5,
-        }
-    }
-}
+/// [`backoff`] base, in milliseconds, between [`append_sealed`] attempts.
+const APPEND_BACKOFF_MS: u64 = 5;
 
-impl RetryPolicy {
-    /// Runs `op` (receiving the 1-based attempt number) up to
-    /// [`RetryPolicy::attempts`] times, sleeping the capped backoff between
-    /// attempts. Returns the first success or the last error.
-    pub fn run<T>(&self, mut op: impl FnMut(u32) -> io::Result<T>) -> io::Result<T> {
-        let attempts = self.attempts.max(1);
-        let mut last = None;
-        for n in 1..=attempts {
-            match op(n) {
-                Ok(v) => return Ok(v),
-                Err(e) => last = Some(e),
-            }
-            if n < attempts {
-                std::thread::sleep(std::time::Duration::from_millis(backoff(self.base_ms, n)));
-            }
+/// The one sealed journal append: seals `payload` with
+/// [`crate::seal_line`] and appends it as one line, making up to three
+/// attempts with the capped [`backoff`] between them. After a failed
+/// append the bytes that landed are unknown, so every retry starts with a
+/// newline: a stray partial fragment becomes its own line, which its seal
+/// exposes at the next open, and readers skip the blank lines the resyncs
+/// leave. Returns the last error when every attempt failed; what that
+/// means (park the run, degrade the service) is the caller's policy.
+pub fn append_sealed(log: &mut dyn AppendLog, payload: &str) -> io::Result<()> {
+    let framed = format!("\n{}\n", crate::seal_line(payload));
+    let mut data = &framed[1..];
+    for failed in 1..APPEND_ATTEMPTS {
+        if log.append(data.as_bytes()).is_ok() {
+            return Ok(());
         }
-        Err(last.unwrap_or_else(|| io::Error::other("retry with zero attempts")))
+        let wait = backoff(APPEND_BACKOFF_MS, failed);
+        std::thread::sleep(std::time::Duration::from_millis(wait));
+        data = &framed;
     }
+    log.append(data.as_bytes())
 }
 
 static ACTIVE: OnceLock<Arc<dyn Vfs>> = OnceLock::new();
@@ -286,26 +275,52 @@ mod tests {
         }
     }
 
+    /// A log whose first `fail` appends land `torn` bytes and then fail.
+    struct Flaky {
+        fail: u32,
+        torn: usize,
+        landed: Vec<u8>,
+        calls: u32,
+    }
+
+    impl AppendLog for Flaky {
+        fn append(&mut self, data: &[u8]) -> io::Result<()> {
+            self.calls += 1;
+            if self.calls <= self.fail {
+                self.landed
+                    .extend_from_slice(&data[..self.torn.min(data.len())]);
+                return Err(io::Error::other(format!("boom {}", self.calls)));
+            }
+            self.landed.extend_from_slice(data);
+            Ok(())
+        }
+    }
+
     #[test]
     fn retry_backs_off_and_surfaces_the_last_error() {
-        let policy = RetryPolicy {
-            attempts: 3,
-            base_ms: 0,
+        // Two torn attempts, then a clean one: each retry leads with a
+        // newline, so both fragments end up on lines of their own.
+        let sealed = crate::seal_line("{\"a\": 1}");
+        let mut log = Flaky {
+            fail: 2,
+            torn: 4,
+            landed: Vec::new(),
+            calls: 0,
         };
-        let mut seen = Vec::new();
-        let out = policy.run(|n| {
-            seen.push(n);
-            if n < 3 {
-                Err(io::Error::other(format!("boom {n}")))
-            } else {
-                Ok(n * 10)
-            }
-        });
-        assert_eq!(out.unwrap(), 30);
-        assert_eq!(seen, vec![1, 2, 3]);
-        let err = policy
-            .run::<()>(|n| Err(io::Error::other(format!("always {n}"))))
-            .unwrap_err();
-        assert!(err.to_string().contains("always 3"), "{err}");
+        append_sealed(&mut log, "{\"a\": 1}").unwrap();
+        assert_eq!(log.calls, 3);
+        let landed = String::from_utf8(log.landed).unwrap();
+        assert_eq!(
+            landed,
+            format!("{}\n{}\n{sealed}\n", &sealed[..4], &sealed[..3])
+        );
+        let mut dead = Flaky {
+            fail: u32::MAX,
+            torn: 0,
+            landed: Vec::new(),
+            calls: 0,
+        };
+        let err = append_sealed(&mut dead, "{}").unwrap_err();
+        assert_eq!((dead.calls, err.to_string()), (3, "boom 3".to_string()));
     }
 }

@@ -78,6 +78,29 @@ for manifest in crates/compat/*/Cargo.toml; do
     fi
 done
 
+# 5. One journal protocol. Outside noc-store's own sources, production
+#    code (each file up to its `#[cfg(test)]` module) touches the framing
+#    primitives only where the protocol is written once: `open_line(` in
+#    the one line check (`sweep::load_line`), `seal_line(` in the service's
+#    whole-file first record (appends go through `append_sealed`), and the
+#    deleted `RetryPolicy` nowhere — so the twin copies cannot grow back.
+journal_hits() { # pattern
+    find crates -path crates/compat -prune -o -path 'crates/*/src/*' -name '*.rs' -print |
+        grep -v '^crates/noc-store/' | sort | while read -r f; do
+            sed '/^#\[cfg(test)\]/,$d' "$f" | grep -c -- "$1" | sed "s|^|$f:|"
+        done | grep -v ':0$'
+}
+for rule in 'open_line(=crates/noc-experiments/src/sweep.rs:1' \
+            'seal_line(=crates/noc-serve/src/service.rs:1' \
+            'RetryPolicy='; do
+    pattern=${rule%%=*}
+    want=${rule#*=}
+    got=$(journal_hits "$pattern" | tr '\n' ' ' | sed 's/ $//')
+    if [ "$got" != "$want" ]; then
+        complain "'$pattern' must appear only at [${want:-nowhere}], found [${got:-nowhere}]"
+    fi
+done
+
 if [ "$fail" -ne 0 ]; then
     echo "lint-audit: FAILED" >&2
     exit 1
