@@ -2,10 +2,8 @@
 //! `--quick` for reduced sweeps, `--threads N` to bound the sweep executor
 //! (default: `NOC_THREADS` or all cores) and `--csv <dir>` to also dump
 //! each table as CSV. Cheap artifacts print first; each fig-8 panel prints
-//! as soon as it is computed; progress marks go to stderr.
-//!
-//! `--allow-unverified` disables the `noc-verify` deadlock-freedom gate
-//! (otherwise statically-routed schemes refuse uncertified configurations).
+//! as soon as it is computed; progress marks go to stderr. Any other
+//! argument exits 2 before anything runs.
 
 use noc_experiments::figs;
 use noc_experiments::FigTable;
@@ -15,21 +13,13 @@ use std::time::Instant;
 
 fn main() {
     let t0 = Instant::now();
-    let args = noc_experiments::cli::args();
-    let quick = args.iter().any(|a| a == "--quick");
-    if args.iter().any(|a| a == "--allow-unverified") {
-        // The figure modules build their specs internally; the env override
-        // reaches every run_synth/run_app call.
-        std::env::set_var("NOC_ALLOW_UNVERIFIED", "1");
-    }
-    let csv_dir = args
-        .iter()
-        .position(|a| a == "--csv")
-        .and_then(|i| args.get(i + 1).cloned());
+    let accepted = ["--quick", "--csv DIR", "--threads N"];
+    let flags = noc_experiments::cli::flags("all_figs", noc_experiments::cli::args(), &accepted);
+    let quick = flags.contains_key("--quick");
     let emit = |t: FigTable| {
         println!("{t}");
         std::io::stdout().flush().ok();
-        if let Some(dir) = &csv_dir {
+        if let Some(dir) = flags.get("--csv") {
             match t.save_csv(dir) {
                 Ok(p) => eprintln!("wrote {p}"),
                 Err(e) => eprintln!("csv error: {e}"),

@@ -1,5 +1,5 @@
 //! Regenerates Fig 7 (router area breakdown).
 fn main() {
-    noc_experiments::cli::args();
+    noc_experiments::cli::flags("fig07", noc_experiments::cli::args(), &["--threads N"]);
     println!("{}", noc_experiments::figs::fig07::run());
 }

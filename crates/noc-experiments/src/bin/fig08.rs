@@ -1,7 +1,7 @@
 //! Regenerates Fig 8 (latency vs injection rate). Pass `--quick` for a
 //! reduced sweep.
 fn main() {
-    let quick = noc_experiments::cli::args().iter().any(|a| a == "--quick");
+    let quick = noc_experiments::cli::quick("fig08");
     for t in noc_experiments::figs::fig08::run(quick) {
         println!("{t}");
     }

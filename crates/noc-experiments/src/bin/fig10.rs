@@ -1,6 +1,6 @@
 //! Regenerates Fig 10 (FF share and latency breakdown).
 fn main() {
-    let quick = noc_experiments::cli::args().iter().any(|a| a == "--quick");
+    let quick = noc_experiments::cli::quick("fig10");
     for t in noc_experiments::figs::fig10::run(quick) {
         println!("{t}");
     }

@@ -1,6 +1,6 @@
 //! Regenerates Fig 12 (routing-algorithm comparison).
 fn main() {
-    let quick = noc_experiments::cli::args().iter().any(|a| a == "--quick");
+    let quick = noc_experiments::cli::quick("fig12");
     for t in noc_experiments::figs::fig12::run(quick) {
         println!("{t}");
     }

@@ -6,7 +6,7 @@ use noc_traffic::TrafficPattern;
 use std::io::Write;
 
 fn main() {
-    noc_experiments::cli::args();
+    noc_experiments::cli::flags("finals", noc_experiments::cli::args(), &["--threads N"]);
     let emit = |t: noc_experiments::FigTable| {
         println!("{t}");
         std::io::stdout().flush().ok();

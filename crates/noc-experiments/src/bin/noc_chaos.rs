@@ -39,53 +39,42 @@ fn parse_budget(s: &str) -> Result<Duration, String> {
         .map_err(|_| format!("bad --budget '{s}' (want e.g. 300s or 5m)"))
 }
 
-fn main() {
-    let args = cli::args();
-    let mut budget = Duration::from_secs(300);
-    let mut seed: Option<u64> = None;
-    let mut max_cases: Option<usize> = None;
-    let mut out_dir = PathBuf::from("target/chaos");
-    let mut full = false;
-    let mut replay_path: Option<PathBuf> = None;
-    let mut quick = false;
+const NAME: &str = "noc_chaos";
 
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut val = |flag: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| {
-                    eprintln!("{flag} needs a value");
-                    std::process::exit(2);
-                })
-                .clone()
-        };
-        match arg.as_str() {
-            "--budget" => match parse_budget(&val("--budget")) {
-                Ok(d) => budget = d,
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            },
-            "--seed" => seed = Some(parse_or_die(&val("--seed"), "--seed")),
-            "--cases" => max_cases = Some(parse_or_die(&val("--cases"), "--cases")),
-            "--out" => out_dir = PathBuf::from(val("--out")),
-            "--full" => full = true,
-            "--quick" => quick = true,
-            "--replay" => replay_path = Some(PathBuf::from(val("--replay"))),
-            "--help" | "-h" => {
-                println!(
-                    "usage: noc_chaos [--budget 300s] [--seed N] [--cases N] \
-                     [--out DIR] [--quick | --full] [--replay FILE]"
-                );
-                return;
-            }
-            other => {
-                eprintln!("unknown flag '{other}' (see --help)");
-                std::process::exit(2);
-            }
-        }
+fn main() {
+    let accepted = [
+        "--budget 300s",
+        "--seed N",
+        "--cases N",
+        "--out DIR",
+        "--quick",
+        "--full",
+        "--replay FILE",
+        "--threads N",
+        "--help",
+    ];
+    let given = cli::flags(NAME, cli::args(), &accepted);
+    if given.contains_key("--help") {
+        println!("{}", cli::usage(NAME, &accepted));
+        return;
     }
+    let number = |flag: &str| -> Option<u64> {
+        let bad = |s: &String| format!("bad value for {flag}: '{s}'");
+        let parse = |s: &String| {
+            s.parse()
+                .unwrap_or_else(|_| cli::refuse(NAME, &accepted, &bad(s)))
+        };
+        given.get(flag).map(parse)
+    };
+    let seed = number("--seed");
+    let max_cases = number("--cases").map(|n| usize::try_from(n).unwrap_or(usize::MAX));
+    let budget = given
+        .get("--budget")
+        .map_or(Ok(Duration::from_secs(300)), |b| parse_budget(b));
+    let budget = budget.unwrap_or_else(|e| cli::refuse(NAME, &accepted, &e));
+    let out_dir = PathBuf::from(given.get("--out").map_or("target/chaos", String::as_str));
+    let replay_path = given.get("--replay").map(PathBuf::from);
+    let (quick, full) = (given.contains_key("--quick"), given.contains_key("--full"));
 
     if quick && full {
         eprintln!("--quick runs the smoke pool; it cannot be combined with --full");
@@ -159,11 +148,4 @@ fn main() {
     if failed > 0 {
         std::process::exit(1);
     }
-}
-
-fn parse_or_die<T: std::str::FromStr>(s: &str, flag: &str) -> T {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("bad value for {flag}: '{s}'");
-        std::process::exit(2);
-    })
 }

@@ -1,5 +1,5 @@
 //! Regenerates the measured counterpart of Table 1.
 fn main() {
-    let quick = noc_experiments::cli::args().iter().any(|a| a == "--quick");
+    let quick = noc_experiments::cli::quick("table1");
     println!("{}", noc_experiments::figs::table1::run(quick));
 }

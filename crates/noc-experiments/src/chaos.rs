@@ -4,9 +4,10 @@
 //! The engine (PRs 3–5) can kill and heal links mid-run; this module
 //! *searches* the scheme × pattern × rate × mesh × schedule space for the
 //! wedges nobody hand-seeded. A [`CaseGen`] draws random [`ChaosCase`]s from
-//! one seed, [`precheck`] applies the same certification gate as the fault
-//! sweep (per *epoch*, via [`noc_verify::certify_schedule`]), and
-//! [`run_case`] executes each survivor under four differential oracles:
+//! one seed, [`crate::runner::admit`] — the one admission rule the fault
+//! sweep and the runner apply too, schedule epochs included — turns away
+//! the cases nothing vouches for, and [`run_case`] executes each survivor
+//! under four differential oracles:
 //!
 //! * **conservation** — with e2e recovery armed, every injected packet must
 //!   eject; without it, the flits that never arrive must equal the engine's
@@ -14,7 +15,8 @@
 //!   loss is not);
 //! * **exactly-once** — no packet id is delivered twice;
 //! * **watchdog-clean** — a sustained stall escalates to a black-box dump
-//!   (`blackbox_<key>.json`, schema `noc-blackbox-v1`) instead of a hang;
+//!   (`blackbox_<key>.json`, schema `noc-blackbox-v1`) instead of a hang,
+//!   through the sweep runner's own watchdog-sliced run and dump;
 //! * **determinism** — a passing case is replayed and both runs must produce
 //!   the same delivery digest (the engine is bit-reproducible per seed; the
 //!   CI smoke additionally diffs whole-process reruns).
@@ -31,8 +33,11 @@
 //! the one per-case step in this module, `record_case`.
 
 use crate::jsonio::JsonObj;
-use crate::runner::Scheme;
-use crate::sweep::{load_line, run_key, Checkpoint, LoadedLine};
+use crate::runner::{Refusal, Scheme};
+use crate::sweep::{
+    blackbox_path, dump_wedge, load_line, run_key, run_watched, Checkpoint, LoadedLine,
+    WATCHDOG_PERIOD,
+};
 use noc_sim::stats::DeliveredPacket;
 use noc_sim::workload::Workload;
 use noc_sim::{watchdog, Sim, Stats};
@@ -48,10 +53,6 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
-
-/// Cycles between watchdog samples while a case runs (same cadence as the
-/// fault sweep).
-const WATCHDOG_PERIOD: u64 = 256;
 
 /// Repro/row schema tag, bumped on any field change.
 const REPRO_SCHEMA: &str = "noc-chaos-repro-v1";
@@ -344,33 +345,20 @@ fn run_once(case: &ChaosCase, dump_dir: &Path) -> Result<PassReport, RunStop> {
     let mut sim = Sim::new(cfg.clone(), Box::new(wl), mech);
     sim.net.enable_flight_recorder(64);
 
-    let check_wedge = |sim: &mut Sim| -> Result<(), Failure> {
-        if !watchdog::looks_stuck(&sim.net, watchdog::DEFAULT_STUCK_THRESHOLD) {
-            return Ok(());
-        }
-        let bb =
-            watchdog::BlackBox::capture(&sim.net, &case.scheme.label(), &sim.mech.debug_state());
-        let path = dump_dir.join(format!("blackbox_{}.json", case.key()));
-        let blackbox = bb.write(&path).ok().map(|()| path);
-        Err(Failure {
-            kind: FailureKind::Wedged,
-            detail: format!(
-                "no progress for {} cycles at cycle {}",
-                watchdog::DEFAULT_STUCK_THRESHOLD,
-                sim.net.cycle
-            ),
-            blackbox,
+    // The sweep's watchdog-sliced run; a wedge is this oracle's failure.
+    let watched = |sim: &mut Sim, cycles: u64| {
+        run_watched(sim, cycles, || false).map_err(|_| {
+            let (detail, dump) = dump_wedge(sim, case.scheme, &case.key(), dump_dir);
+            Failure {
+                kind: FailureKind::Wedged,
+                detail,
+                blackbox: dump.ok(),
+            }
         })
     };
 
     // Injection window.
-    let mut remaining = case.cycles;
-    while remaining > 0 {
-        let slice = WATCHDOG_PERIOD.min(remaining);
-        sim.run(slice);
-        remaining -= slice;
-        check_wedge(&mut sim)?;
-    }
+    watched(&mut sim, case.cycles)?;
 
     // Drain window: sources silent. The budget is deliberately generous —
     // a case injected past its saturation point legitimately needs many
@@ -394,9 +382,8 @@ fn run_once(case: &ChaosCase, dump_dir: &Path) -> Result<PassReport, RunStop> {
     let mut spent = 0u64;
     let mut settled = false;
     while spent < drain_budget {
-        sim.run(WATCHDOG_PERIOD);
+        watched(&mut sim, WATCHDOG_PERIOD)?;
         spent += WATCHDOG_PERIOD;
-        check_wedge(&mut sim)?;
         if e2e_armed && sim.net.stats.e2e_abandoned > 0 {
             break;
         }
@@ -407,8 +394,7 @@ fn run_once(case: &ChaosCase, dump_dir: &Path) -> Result<PassReport, RunStop> {
         };
         if done {
             // One grace slice so late duplicates would still be observed.
-            sim.run(WATCHDOG_PERIOD);
-            check_wedge(&mut sim)?;
+            watched(&mut sim, WATCHDOG_PERIOD)?;
             settled = true;
             break;
         }
@@ -531,7 +517,7 @@ pub fn run_case(case: &ChaosCase, dump_dir: &Path) -> CaseOutcome {
     let first = match attempt() {
         Ok(r) => r,
         Err(msg) => {
-            let dump = dump_dir.join(format!("blackbox_{}.json", case.key()));
+            let dump = blackbox_path(dump_dir, &case.key());
             return CaseOutcome::Fail(Failure {
                 kind: FailureKind::Panicked,
                 detail: first_line(&msg),
@@ -581,56 +567,6 @@ pub fn run_case(case: &ChaosCase, dump_dir: &Path) -> CaseOutcome {
 }
 
 // ---------------------------------------------------------------------------
-// Certification gate (generator-side)
-// ---------------------------------------------------------------------------
-
-/// The same refusal policy as the fault sweep, applied per epoch: schemes
-/// whose deadlock freedom is a static property (XY/WF/TFC/EscapeVc) must
-/// keep a certificate through *every* epoch of the schedule unless a
-/// certified recovery channel is armed; unroutable epochs need recovery
-/// (the purge + e2e path) to be survivable. Returns the skip reason.
-pub fn precheck(case: &ChaosCase) -> Result<(), String> {
-    let cfg = case.config();
-    let static_kind = matches!(
-        case.scheme.kind(),
-        SchemeKind::None | SchemeKind::EscapeVc | SchemeKind::Tfc
-    );
-    let armed = case.recovery.enabled;
-    if static_kind && !armed {
-        let report = noc_verify::certify(&cfg);
-        if !report.certified() {
-            return Err(format!(
-                "uncertified: {} holds no healthy-state certificate and recovery is unarmed",
-                case.scheme.label()
-            ));
-        }
-    }
-    let epochs = noc_verify::certify_schedule(&cfg)?;
-    for e in &epochs {
-        if !e.report.routing.routable() && !armed {
-            return Err(format!(
-                "unroutable epoch {} with recovery unarmed",
-                e.action
-            ));
-        }
-        if static_kind && !armed && !e.report.routing.certified() {
-            return Err(format!(
-                "uncertified epoch {} ({}) with recovery unarmed",
-                e.action,
-                e.short_verdict()
-            ));
-        }
-    }
-    if case.recovery.any() {
-        let rec = noc_verify::certify_recovery(&cfg);
-        if !rec.certified() {
-            return Err("recovery channel itself failed certification".to_string());
-        }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
 // Seeded case generator
 // ---------------------------------------------------------------------------
 
@@ -658,7 +594,7 @@ impl CaseGen {
     }
 
     /// Draws the next structurally-valid case (schedule validated against
-    /// the mesh; certification gating is [`precheck`]'s separate job).
+    /// the mesh; admission is [`crate::runner::admit`]'s separate job).
     pub fn next_case(&mut self) -> ChaosCase {
         loop {
             let case = self.draw();
@@ -1023,10 +959,10 @@ fn kind_from_label(label: &str) -> Result<FailureKind, String> {
 // ---------------------------------------------------------------------------
 
 /// The chaos loop's per-case step: executes one case and journals its one
-/// row. `gate` is the case's [`precheck`] verdict (a refusal becomes a
-/// `skipped` row); otherwise [`run_case`], and a failure is [`minimize`]d,
-/// the minimized case re-run to record *its* exact failure (details shift
-/// as a case shrinks), and written atomically as
+/// row. `gate` is the case's [`crate::runner::admit`] verdict (a refusal
+/// becomes a `skipped` row carrying its text); otherwise [`run_case`], and
+/// a failure is [`minimize`]d, the minimized case re-run to record *its*
+/// exact failure (details shift as a case shrinks), and written atomically as
 /// `dump_dir/repro_<key>.json` before the row that names it.
 ///
 /// Returns whether the case failed an oracle once its row is durably in
@@ -1034,15 +970,15 @@ fn kind_from_label(label: &str) -> Result<FailureKind, String> {
 /// points at a missing file, and the case re-executes on resume.
 pub(crate) fn record_case(
     case: &ChaosCase,
-    gate: Result<(), String>,
+    gate: Result<(), Refusal>,
     ckpt: &Checkpoint,
     dump_dir: &Path,
 ) -> Option<bool> {
     let base = case.fields(JsonObj::new());
     let (row, failed) = match gate.map(|()| run_case(case, dump_dir)) {
-        Err(reason) => (
+        Err(refusal) => (
             base.str_field("status", "skipped")
-                .str_field("reason", &reason),
+                .str_field("reason", &refusal.to_string()),
             false,
         ),
         Ok(CaseOutcome::Pass(rep)) => (
@@ -1128,6 +1064,7 @@ pub fn wedged_adaptive_case() -> ChaosCase {
 mod tests {
     use super::*;
     use crate::jsonio;
+    use crate::runner::admit;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("seec_chaos_{tag}_{}", std::process::id()));
@@ -1182,7 +1119,7 @@ mod tests {
     fn escape_flap_acceptance_passes_with_full_recert_trace() {
         let dir = tmpdir("escape_flap");
         let case = escape_flap_case();
-        precheck(&case).expect("armed escape flap must pass the gate");
+        admit(case.scheme, &case.config()).expect("armed escape flap must be admitted");
         match run_case(&case, &dir) {
             CaseOutcome::Pass(rep) => {
                 assert!(rep.delivered > 100, "run too light: {}", rep.delivered);
@@ -1231,7 +1168,7 @@ mod tests {
         let dir = tmpdir("wedge");
         let case = wedged_adaptive_case();
         assert!(
-            precheck(&case).is_err(),
+            admit(case.scheme, &case.config()).is_err(),
             "the wedge case must be exactly what the gate refuses"
         );
         // Forced past the gate: the loop's failure branch, end to end.

@@ -1,5 +1,6 @@
 //! Shared command-line handling for the experiment binaries.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
@@ -24,19 +25,9 @@ use crate::table::FigTable;
 /// the override is visible. `--threads 1` forces strictly sequential sweeps.
 /// Results are identical for any thread count — the executor only changes
 /// wall-clock time.
-/// Batch-width precedence (documented, never silent), mirroring the thread
-/// knob:
 ///
-/// 1. an explicit width passed to `run_sweep_with_width` wins;
-/// 2. otherwise the `NOC_BATCH_WIDTH` environment variable;
-/// 3. otherwise the default width (4 lanes).
-///
-/// Like `NOC_THREADS`, the variable is validated *eagerly* on startup:
-/// `NOC_BATCH_WIDTH=0` or a non-numeric value aborts with exit status 2
-/// instead of silently falling back to the default mid-run. Results are
-/// identical for any width — batching only changes wall-clock time.
-///
-/// The fault knobs are validated the same way (see [`validate_env`]).
+/// `NOC_BATCH_WIDTH` (precedence in [`crate::sweep::env_batch_width`]) and
+/// the fault knobs are validated the same way (see [`validate_env`]).
 pub fn args() -> Vec<String> {
     let env = validate_env().threads;
     let mut rest = Vec::new();
@@ -66,6 +57,62 @@ pub fn args() -> Vec<String> {
         }
     }
     rest
+}
+
+/// The one reader of the experiment binaries' own flags (what is left
+/// after [`args`], or any other argument list). `accepted` lists every flag
+/// the binary documents: a bare name (`--quick`) or a name and its value
+/// (`--ckpt PATH`, also given as `--ckpt=PATH`). Returns the flags given,
+/// each with its value (empty for a bare flag). Anything else — an unknown
+/// argument, a missing value, a value that is itself a flag — prints the
+/// reason and the [`usage`] line and exits 2 before any work, so a typo'd
+/// `--quick` never starts a full sweep.
+pub fn flags(
+    name: &str,
+    args: impl IntoIterator<Item = String>,
+    accepted: &[&str],
+) -> BTreeMap<String, String> {
+    let mut given = BTreeMap::new();
+    let mut it = args.into_iter();
+    while let Some(a) = it.next() {
+        let (flag, inline) = match a.split_once('=') {
+            Some((flag, value)) => (flag, Some(value.to_string())),
+            None => (a.as_str(), None),
+        };
+        let Some(spec) = accepted.iter().find(|s| s.split(' ').next() == Some(flag)) else {
+            refuse(name, accepted, &format!("unknown argument {a:?}"));
+        };
+        let value = if spec.contains(' ') {
+            let value = inline
+                .or_else(|| it.next())
+                .filter(|v| !v.starts_with("--"));
+            value.unwrap_or_else(|| refuse(name, accepted, &format!("{flag} requires a value")))
+        } else if inline.is_some() {
+            refuse(name, accepted, &format!("{flag} takes no value"));
+        } else {
+            String::new()
+        };
+        given.insert(flag.to_string(), value);
+    }
+    given
+}
+
+/// `usage: <name> [<flag>]...` for the `accepted` list of [`flags`].
+pub fn usage(name: &str, accepted: &[&str]) -> String {
+    let list: String = accepted.iter().map(|f| format!(" [{f}]")).collect();
+    format!("usage: {name}{list}")
+}
+
+/// Prints why the arguments were refused and the usage line; exits 2.
+pub fn refuse(name: &str, accepted: &[&str], why: &str) -> ! {
+    eprintln!("{why}\n{}", usage(name, accepted));
+    exit(2)
+}
+
+/// The flags of the table binaries that take only `--quick` (the reduced
+/// sweeps) and `--threads N`, through [`flags`]: whether `--quick` was given.
+pub fn quick(name: &str) -> bool {
+    flags(name, args(), &["--quick", "--threads N"]).contains_key("--quick")
 }
 
 /// What [`validate_env`] read from the two tuning knobs (`None`: unset).
@@ -105,7 +152,7 @@ pub fn validate_env() -> EnvKnobs {
 /// only in their `points` and the `tables` they render from the rows:
 ///
 /// ```text
-/// <name> [--quick] [--ckpt <path>] [--max-points <N>] [--threads <N>]
+/// <name> [--quick] [--ckpt PATH] [--max-points N] [--threads N]
 /// ```
 ///
 /// Completed datapoints append to the checkpoint (default
@@ -118,44 +165,21 @@ pub fn sweep_main(
     points: fn(bool) -> Vec<FaultPoint>,
     tables: fn(&[FaultPoint], &RowsByKey) -> Vec<FigTable>,
 ) {
-    let mut quick = false;
-    let mut ckpt_path: Option<PathBuf> = None;
-    let mut max_points: Option<usize> = None;
-    let mut it = args().into_iter();
-    while let Some(a) = it.next() {
-        let mut value = |name: &str, inline: Option<String>| {
-            inline.or_else(|| it.next()).unwrap_or_else(|| {
-                eprintln!("{name} requires a value");
-                exit(2);
-            })
-        };
-        if a == "--quick" {
-            quick = true;
-        } else if a == "--ckpt" || a.starts_with("--ckpt=") {
-            let v = value("--ckpt", a.strip_prefix("--ckpt=").map(str::to_string));
-            ckpt_path = Some(PathBuf::from(v));
-        } else if a == "--max-points" || a.starts_with("--max-points=") {
-            let v = value(
-                "--max-points",
-                a.strip_prefix("--max-points=").map(str::to_string),
-            );
-            match v.parse::<usize>() {
-                Ok(n) => max_points = Some(n),
-                Err(_) => {
-                    eprintln!("--max-points expects a non-negative integer, got {v:?}");
-                    exit(2);
-                }
-            }
-        } else {
-            eprintln!("unknown argument {a:?}");
-            eprintln!("usage: {name} [--quick] [--ckpt <path>] [--max-points <N>] [--threads <N>]");
-            exit(2);
-        }
-    }
-    let path = ckpt_path.unwrap_or_else(|| {
-        let quick = if quick { "_quick" } else { "" };
-        PathBuf::from(format!("results/{name}{quick}.ckpt.jsonl"))
+    let accepted = ["--quick", "--ckpt PATH", "--max-points N", "--threads N"];
+    let given = flags(name, args(), &accepted);
+    let quick = given.contains_key("--quick");
+    let max_points = given.get("--max-points").map(|n| {
+        let why = format!("--max-points expects a non-negative integer, got {n:?}");
+        n.parse::<usize>()
+            .unwrap_or_else(|_| refuse(name, &accepted, &why))
     });
+    let path = given.get("--ckpt").map_or_else(
+        || {
+            let quick = if quick { "_quick" } else { "" };
+            PathBuf::from(format!("results/{name}{quick}.ckpt.jsonl"))
+        },
+        PathBuf::from,
+    );
     let ckpt = match Checkpoint::open(&path) {
         Ok(c) => c,
         Err(e) => {
@@ -203,34 +227,20 @@ pub fn soak_main(
     run: impl FnOnce(&Path, Option<u64>) -> std::io::Result<SiteSweepReport>,
     summary: impl FnOnce(&SiteSweepReport) -> String,
 ) {
-    let mut out_dir = PathBuf::from(format!("target/{name}"));
-    let mut max_sites: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut val = |flag: &str| -> &String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--out" => out_dir = PathBuf::from(val("--out")),
-            "--max-sites" => {
-                max_sites = Some(val("--max-sites").parse().unwrap_or_else(|_| {
-                    eprintln!("bad value for --max-sites");
-                    exit(2);
-                }));
-            }
-            "--help" | "-h" => {
-                println!("usage: {name} [--out DIR] [--max-sites N]");
-                return;
-            }
-            other => {
-                eprintln!("unknown flag '{other}' (see --help)");
-                exit(2);
-            }
-        }
+    let accepted = ["--out DIR", "--max-sites N", "--help"];
+    let given = flags(name, args.iter().cloned(), &accepted);
+    if given.contains_key("--help") {
+        println!("{}", usage(name, &accepted));
+        return;
     }
+    let out_dir = given
+        .get("--out")
+        .map_or_else(|| format!("target/{name}"), String::clone);
+    let out_dir = PathBuf::from(out_dir);
+    let max_sites = given.get("--max-sites").map(|n| {
+        n.parse::<u64>()
+            .unwrap_or_else(|_| refuse(name, &accepted, "bad value for --max-sites"))
+    });
 
     let label = name.replace('_', "-");
     let report = match run(&out_dir, max_sites) {

@@ -79,7 +79,6 @@ pub fn run(quick: bool) -> Vec<FigTable> {
                     txns_per_core: txns,
                     max_cycles,
                     seed: 0x000F_1614 + i as u64,
-                    allow_unverified: false,
                 });
                 (r.stats.avg_total_latency(), r.runtime)
             })

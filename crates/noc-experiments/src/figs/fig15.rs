@@ -68,7 +68,6 @@ pub fn run(quick: bool) -> FigTable {
                     txns_per_core: txns,
                     max_cycles,
                     seed: 0x000F_1615 + i as u64,
-                    allow_unverified: false,
                 })
                 .stats
                 .max_total_latency

@@ -7,18 +7,19 @@
 //! token bypass skips the pipeline, so the gain should appear only at
 //! 4-cycle routers.
 
+use crate::runner::{admit, Scheme};
 use crate::table::{fmt_latency, FigTable};
-use noc_baselines::TfcMechanism;
-use noc_sim::{NoMechanism, Sim};
+use noc_sim::Sim;
 use noc_traffic::{SyntheticWorkload, TrafficPattern};
-use noc_types::{BaseRouting, NetConfig, RoutingAlgo};
+use noc_types::NetConfig;
 
-fn low_load_latency(router_latency: u8, tfc: bool, quick: bool) -> f64 {
+fn low_load_latency(router_latency: u8, scheme: Scheme, quick: bool) -> f64 {
     let cycles = if quick { 8_000 } else { 25_000 };
-    let cfg = NetConfig::synth(4, 2)
-        .with_routing(RoutingAlgo::Uniform(BaseRouting::WestFirst))
+    let cfg = scheme
+        .configure(NetConfig::synth(4, 2))
         .with_router_latency(router_latency)
         .with_seed(0xF004);
+    admit(scheme, &cfg).expect("west-first routing is certified");
     let wl = SyntheticWorkload::new(
         TrafficPattern::UniformRandom,
         0.03,
@@ -27,11 +28,7 @@ fn low_load_latency(router_latency: u8, tfc: bool, quick: bool) -> f64 {
         cfg.warmup,
         0xF004,
     );
-    let mech: Box<dyn noc_sim::Mechanism> = if tfc {
-        Box::new(TfcMechanism::for_net(&cfg))
-    } else {
-        Box::new(NoMechanism)
-    };
+    let mech = scheme.mechanism(&cfg);
     let mut sim = Sim::new(cfg, Box::new(wl), mech);
     sim.run(cycles);
     sim.finish().avg_total_latency()
@@ -44,8 +41,8 @@ pub fn run(quick: bool) -> FigTable {
     )
     .with_note("paper: TFC gains vanish against an optimized 1-cycle router");
     for rl in [1u8, 2, 4] {
-        let wf = low_load_latency(rl, false, quick);
-        let tfc = low_load_latency(rl, true, quick);
+        let wf = low_load_latency(rl, Scheme::WestFirst, quick);
+        let tfc = low_load_latency(rl, Scheme::Tfc, quick);
         let gain = 100.0 * (wf - tfc) / wf;
         t.push_row(vec![
             rl.to_string(),

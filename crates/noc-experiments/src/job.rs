@@ -239,9 +239,8 @@ fn run_chaos_job(
         if ctx.cancel.is_cancelled() {
             return Err(interrupted(ctx.cancel));
         }
-        let Some(was_failure) =
-            chaos::record_case(&case, chaos::precheck(&case), &ckpt, ctx.dump_dir)
-        else {
+        let gate = crate::runner::admit(case.scheme, &case.config());
+        let Some(was_failure) = chaos::record_case(&case, gate, &ckpt, ctx.dump_dir) else {
             // The case's repro or row never landed: park as
             // storage-interrupted so it re-executes once storage persists.
             return Err(JobError::Interrupted(rayon::CancelReason::StorageDegraded));

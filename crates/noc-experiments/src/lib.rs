@@ -41,10 +41,10 @@ pub mod figs {
 }
 
 pub use chaos::{
-    minimize, precheck, replay, run_case, CaseGen, CaseOutcome, ChaosCase, FailureKind, GenPool,
+    minimize, replay, run_case, CaseGen, CaseOutcome, ChaosCase, FailureKind, GenPool,
 };
 pub use job::{JobCtx, JobError, JobProgress, JobReport, SimJob};
-pub use runner::{run_app, run_synth, AppSpec, Scheme, SynthSpec};
+pub use runner::{admit, run_app, run_synth, AppSpec, Refusal, Scheme, SynthSpec};
 pub use saturation::find_saturation;
 pub use storage_chaos::run_storage_chaos;
 pub use sweep::{run_sweep, Checkpoint, FaultPoint, SweepOutcome};

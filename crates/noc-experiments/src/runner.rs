@@ -21,8 +21,7 @@ pub enum Scheme {
     WestFirst,
     /// Fully-adaptive minimal routing with **no** escape mechanism — the
     /// statically deadlockable baseline the paper motivates SEEC with. Only
-    /// runnable behind `allow_unverified` or an armed (and certified)
-    /// runtime recovery channel.
+    /// runnable behind an armed (and certified) runtime recovery channel.
     Adaptive,
     Tfc,
     EscapeVc {
@@ -198,6 +197,123 @@ impl Scheme {
     pub fn is_deflection(self) -> bool {
         matches!(self, Scheme::MinBd | Scheme::Chipper)
     }
+
+    /// True when the scheme's deadlock freedom is its routing relation alone
+    /// (XY, WF, ADAPT, escape VC, TFC), so a run needs a certificate. The
+    /// reactive and subactive schemes rest on a runtime argument instead.
+    pub(crate) fn routing_reliant(self) -> bool {
+        matches!(
+            self.kind(),
+            SchemeKind::None | SchemeKind::EscapeVc | SchemeKind::Tfc
+        )
+    }
+}
+
+/// Why [`admit`] refused a run: the row status it records (`unroutable`,
+/// `escape-severed`, `uncertified`, `recovery-uncertified`, or `invalid`
+/// for a schedule the mesh rejects) and the reason beside it.
+#[derive(Debug)]
+pub struct Refusal {
+    pub status: &'static str,
+    pub reason: String,
+}
+
+impl std::fmt::Display for Refusal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}: {}", self.status, self.reason)
+    }
+}
+
+/// The one admission rule for every simulated run — the runner, the fault
+/// sweep and the chaos loop. A run is refused when:
+///
+/// * its **start state** (the static dead set, through
+///   [`noc_verify::certify_degraded`], which is plain certification when
+///   nothing is dead) is unroutable, or, for a routing-reliant scheme,
+///   severs the escape layer;
+/// * **without armed recovery** (drain disabled), some schedule epoch
+///   ([`noc_verify::certify_schedule`]) is unroutable, or a routing-reliant
+///   scheme lacks a certificate in the start state (routing and protocol)
+///   or in any epoch;
+/// * **any recovery machinery** is set up and the channel fails
+///   [`noc_verify::certify_recovery`].
+///
+/// A healthy mesh is routable and keeps its escape layer, so a healthy run
+/// of a scheme that needs no certificate does no certifier work.
+pub fn admit(scheme: Scheme, cfg: &NetConfig) -> Result<(), Refusal> {
+    use noc_verify::RoutingVerdict as V;
+    let reliant = scheme.routing_reliant();
+    let armed = cfg.recovery.enabled;
+    // A routing verdict — of the start state or of one epoch (`at` names
+    // it) — that binds this run, as its refusal.
+    let check = |verdict: &V, start: bool, at: &str| {
+        let (status, why) = match verdict {
+            V::Unroutable { src, dest } if start || !armed => (
+                "unroutable",
+                format!("dead set disconnects node {} from node {}", src.0, dest.0),
+            ),
+            V::EscapeSevered { src, dest } if reliant && (start || !armed) => (
+                "escape-severed",
+                format!(
+                    "no live west-first path from node {} to node {}; Duato certificate void",
+                    src.0, dest.0
+                ),
+            ),
+            V::Deadlockable { .. } if reliant && !armed => (
+                "uncertified",
+                "degraded CDG has a cyclic witness and the scheme has no runtime recovery".into(),
+            ),
+            _ => return Ok(()),
+        };
+        let reason = format!("{at}{why}");
+        Err(Refusal { status, reason })
+    };
+
+    if cfg.fault.has_permanent() || (reliant && !armed) {
+        let start = noc_verify::certify_degraded(cfg);
+        check(&start.routing, true, "")?;
+        if reliant && !armed && !start.protocol.certified() {
+            let reason = "protocol classes share a VNet cyclically and the scheme has no runtime \
+                          recovery";
+            return Err(Refusal {
+                status: "uncertified",
+                reason: reason.into(),
+            });
+        }
+    }
+    if cfg.fault.has_schedule() {
+        let invalid = |reason| Refusal {
+            status: "invalid",
+            reason,
+        };
+        let epochs = noc_verify::certify_schedule(cfg).map_err(invalid)?;
+        for e in &epochs {
+            check(&e.report.routing, false, &format!("epoch {}: ", e.action))?;
+        }
+    }
+    if cfg.recovery.any() {
+        let rec = noc_verify::certify_recovery(cfg);
+        if !rec.certified() {
+            let rendered = rec.render();
+            let line = rendered.lines().find(|l| l.starts_with("recovery:"));
+            return Err(Refusal {
+                status: "recovery-uncertified",
+                reason: line.unwrap_or("recovery channel refused").into(),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// [`admit`] for the runner: a figure never plots a run whose deadlock
+/// freedom nothing vouches for.
+fn admitted(scheme: Scheme, cfg: &NetConfig) {
+    if let Err(refusal) = admit(scheme, cfg) {
+        panic!(
+            "refusing to run uncertified configuration for scheme {}: {refusal}",
+            scheme.label()
+        );
+    }
 }
 
 /// One synthetic-traffic design point.
@@ -211,8 +327,6 @@ pub struct SynthSpec {
     pub rate: f64,
     pub cycles: u64,
     pub seed: u64,
-    /// Skip the `noc-verify` deadlock-freedom gate (see [`verify_gate`]).
-    pub allow_unverified: bool,
 }
 
 impl SynthSpec {
@@ -225,7 +339,6 @@ impl SynthSpec {
             rate,
             cycles: 30_000,
             seed: 0xA11CE,
-            allow_unverified: false,
         }
     }
 
@@ -235,43 +348,13 @@ impl SynthSpec {
     }
 }
 
-/// Refuses to run configurations whose deadlock freedom rests entirely on
-/// the static routing relation unless `noc-verify` certifies them.
-///
-/// Schemes with a runtime escape or recovery mechanism (SEEC, mSEEC, SPIN,
-/// SWAP, DRAIN, deflection) are exempt: their correctness argument is
-/// dynamic, which is exactly why the paper evaluates them on routing
-/// relations the static certifier rejects. `XY`/`WF` (plain turn-model),
-/// `EscapeVc` (Duato) and `TFC` (west-first) must hold a certificate.
-///
-/// Override with `allow_unverified` on the spec or the
-/// `NOC_ALLOW_UNVERIFIED` environment variable (the `--allow-unverified`
-/// flag of `all_figs`).
-fn verify_gate(scheme: Scheme, cfg: &NetConfig, allow_unverified: bool) {
-    match scheme.kind() {
-        SchemeKind::None | SchemeKind::EscapeVc | SchemeKind::Tfc => {}
-        _ => return,
-    }
-    if allow_unverified || std::env::var_os("NOC_ALLOW_UNVERIFIED").is_some() {
-        return;
-    }
-    let report = noc_verify::certify(cfg);
-    assert!(
-        report.certified(),
-        "refusing to run uncertified configuration for scheme {}:\n{}\
-         (set allow_unverified on the spec or NOC_ALLOW_UNVERIFIED=1 to override)",
-        scheme.label(),
-        report.render()
-    );
-}
-
 /// Runs one synthetic point to completion and returns its statistics.
 pub fn run_synth(spec: SynthSpec) -> Stats {
     let cfg = spec
         .scheme
         .configure(NetConfig::synth(spec.k, spec.vcs))
         .with_seed(spec.seed);
-    verify_gate(spec.scheme, &cfg, spec.allow_unverified);
+    admitted(spec.scheme, &cfg);
     let wl = SyntheticWorkload::new(
         spec.pattern,
         spec.rate,
@@ -309,8 +392,6 @@ pub struct AppSpec {
     pub txns_per_core: u64,
     pub max_cycles: u64,
     pub seed: u64,
-    /// Skip the `noc-verify` deadlock-freedom gate (see [`verify_gate`]).
-    pub allow_unverified: bool,
 }
 
 /// Result of an application run: network statistics plus the runtime in
@@ -328,7 +409,7 @@ pub fn run_app(spec: AppSpec) -> AppResult {
         .scheme
         .configure(NetConfig::full_system(spec.k, spec.vnets, spec.vcs))
         .with_seed(spec.seed);
-    verify_gate(spec.scheme, &cfg, spec.allow_unverified);
+    admitted(spec.scheme, &cfg);
     let pcfg = ProtocolConfig {
         txns_per_core: Some(spec.txns_per_core),
         ..ProtocolConfig::default()
@@ -433,25 +514,51 @@ mod tests {
             txns_per_core: 1,
             max_cycles: 100,
             seed: 1,
-            allow_unverified: false,
         };
         let _ = run_app(spec);
     }
 
     #[test]
-    fn gate_override_lets_uncertified_configs_run() {
-        let spec = AppSpec {
-            k: 4,
-            vnets: 1,
-            vcs: 2,
-            scheme: Scheme::Xy,
-            app: noc_traffic::apps::APPS[0],
-            txns_per_core: 1,
-            max_cycles: 2_000,
-            seed: 1,
-            allow_unverified: true,
+    fn admit_is_one_rule_for_start_states_epochs_and_arming() {
+        use noc_types::{Direction, FaultConfig, FaultSchedule, NodeId, RecoveryConfig};
+        let flap = |node: u16, dir| FaultSchedule::link_flap(NodeId(node), dir, 300, 1_500);
+        let severed = FaultConfig::default().with_dead_links(vec![(NodeId(5), Direction::East)]);
+        let severed_epoch = FaultConfig::default().with_schedule(flap(5, Direction::East));
+        let cut_corner = FaultConfig::default()
+            .with_schedule(flap(0, Direction::East).merged(flap(0, Direction::South)));
+        let healthy = FaultConfig::default();
+        let unarmed = RecoveryConfig::default();
+        let drain = RecoveryConfig::drain();
+        let e2e_only = RecoveryConfig::default().with_e2e(600, 50);
+        let status = |scheme: Scheme, fault: &FaultConfig, recovery: &RecoveryConfig| {
+            let cfg = scheme
+                .configure(NetConfig::synth(4, 2))
+                .with_fault(fault.clone())
+                .with_recovery(recovery.clone());
+            admit(scheme, &cfg).err().map(|r| r.status)
         };
-        let _ = run_app(spec); // must not panic
+        // The start state binds armed or not; an epoch only when unarmed.
+        assert_eq!(
+            status(Scheme::escape(), &severed, &drain),
+            Some("escape-severed")
+        );
+        assert_eq!(
+            status(Scheme::escape(), &severed_epoch, &unarmed),
+            Some("escape-severed")
+        );
+        assert_eq!(status(Scheme::escape(), &severed_epoch, &drain), None);
+        assert_eq!(
+            status(Scheme::seec(), &cut_corner, &unarmed),
+            Some("unroutable")
+        );
+        assert_eq!(status(Scheme::seec(), &cut_corner, &drain), None);
+        // End-to-end retransmission alone is not armed recovery.
+        assert_eq!(
+            status(Scheme::Adaptive, &healthy, &e2e_only),
+            Some("uncertified")
+        );
+        assert_eq!(status(Scheme::Adaptive, &healthy, &drain), None);
+        assert_eq!(status(Scheme::seec(), &healthy, &unarmed), None);
     }
 
     #[test]

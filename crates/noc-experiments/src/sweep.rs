@@ -11,28 +11,34 @@
 //! points and a finished checkpoint is byte-identical whether or not the
 //! run was interrupted.
 //!
-//! While a point runs, a progress watchdog samples the network every few
-//! hundred cycles; if nothing moves for [`watchdog::DEFAULT_STUCK_THRESHOLD`]
-//! cycles the runner escalates: it captures a black-box dump (per-VC
-//! occupancy, blocked heads, wait-for cycle witness, mechanism state, the
-//! last-N switch traversals) to `results/blackbox_<key>.json` and panics
-//! with the dump path — which the isolation layer turns into a failed row
-//! pointing at the evidence.
+//! Before a point is built, [`admit`] — the one admission rule, shared with
+//! the runner and the chaos loop — decides whether it may run at all; a
+//! refused point becomes a row whose `status` and `reason` are the
+//! refusal's (`unroutable`, `escape-severed`, `uncertified`,
+//! `recovery-uncertified`), never a simulation.
+//!
+//! While a point runs, `run_watched` (the chaos loop's too) samples the
+//! network every `WATCHDOG_PERIOD` cycles; if nothing moves for
+//! [`watchdog::DEFAULT_STUCK_THRESHOLD`] cycles the runner escalates: it
+//! captures a black-box dump (`dump_wedge`) to
+//! `results/blackbox_<key>.json` and panics with the dump path — which the
+//! isolation layer turns into a failed row pointing at the evidence.
 
 use crate::jsonio::{self, JsonObj};
-use crate::runner::Scheme;
+use crate::runner::{admit, Refusal, Scheme};
 use noc_sim::{watchdog, LockstepBatch, ShapeKey, Sim};
 use noc_traffic::{SyntheticWorkload, TrafficPattern};
 use noc_types::fault::fnv1a;
-use noc_types::{FaultConfig, NetConfig, RecoveryConfig, SchemeKind};
+use noc_types::{FaultConfig, NetConfig, RecoveryConfig};
 use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Cycles between watchdog samples while a point runs. Small enough to
-/// catch a wedge promptly, large enough to be free next to the simulation.
-const WATCHDOG_PERIOD: u64 = 256;
+/// Cycles between watchdog samples while a run executes, sweep point or
+/// chaos case. Small enough to catch a wedge promptly, large enough to be
+/// free next to the simulation.
+pub(crate) const WATCHDOG_PERIOD: u64 = 256;
 
 /// Default lockstep batch width: how many shape-compatible points one rayon
 /// task drives through a shared [`LockstepBatch`]. Overridden by the
@@ -452,109 +458,134 @@ pub struct SweepCtx<'a> {
 enum PointRun {
     /// Simulated to completion.
     Done(Box<noc_sim::Stats>),
-    /// Deliberately not simulated; `status` goes into the row verbatim.
-    Skipped {
-        status: &'static str,
-        reason: String,
-    },
+    /// Refused by [`admit`]; the refusal goes into the row verbatim.
+    Skipped(Refusal),
     /// Abandoned mid-run by a fired cancellation token: no row.
     Interrupted,
 }
 
-/// The certification gate shared by the scalar and batched paths. Returns
-/// `Some` when the point must not be simulated; the payload goes into the
-/// checkpoint row verbatim.
-///
-/// Static gate: on a degraded mesh, re-certify before running. An
-/// unroutable scenario cannot run at all; a scheme whose deadlock freedom
-/// rests on the static routing relation must keep a certificate on the
-/// *degraded* CDG. Recovery schemes (SEEC/mSEEC/SPIN/...) are exempt from
-/// the certificate — surviving an uncertifiable mesh is exactly what they
-/// are for — but still need routability. An armed recovery channel
-/// substitutes for the static certificate, but only if it certifies
-/// itself: the drain channel must be acyclic/complete and its threshold
-/// must undercut the watchdog panic.
-fn gate_point(p: &FaultPoint, cfg: &NetConfig) -> Option<(&'static str, String)> {
-    let report = noc_verify::certify_degraded(cfg);
-    use noc_verify::RoutingVerdict as V;
-    match &report.routing {
-        V::Unroutable { src, dest } => {
-            return Some((
-                "unroutable",
-                format!("dead set disconnects node {} from node {}", src.0, dest.0),
-            ));
-        }
-        V::EscapeSevered { src, dest }
-            if matches!(
-                p.scheme.kind(),
-                SchemeKind::None | SchemeKind::EscapeVc | SchemeKind::Tfc
-            ) =>
-        {
-            return Some((
-                "escape-severed",
-                format!(
-                    "no live west-first path from node {} to node {}; Duato certificate void",
-                    src.0, dest.0
-                ),
-            ));
-        }
-        V::Deadlockable { .. }
-            if !p.recovery.enabled
-                && matches!(
-                    p.scheme.kind(),
-                    SchemeKind::None | SchemeKind::EscapeVc | SchemeKind::Tfc
-                ) =>
-        {
-            return Some((
-                "uncertified",
-                "degraded CDG has a cyclic witness and the scheme has no \
-                 runtime recovery"
-                    .to_string(),
-            ));
-        }
-        _ => {}
-    }
-    if p.recovery.any() {
-        let rec = noc_verify::certify_recovery(cfg);
-        if !rec.certified() {
-            let rendered = rec.render();
-            let detail = rendered
-                .lines()
-                .find(|l| l.starts_with("recovery:"))
-                .unwrap_or("recovery channel refused")
-                .to_string();
-            return Some(("recovery-uncertified", detail));
-        }
-    }
-    None
-}
-
-/// Builds the simulation for a gated point — identical construction on the
-/// scalar and batched paths, so their results are too.
-fn build_point_sim(p: &FaultPoint, cfg: NetConfig) -> Sim {
+/// Admits a point through [`admit`] and builds its simulation — identical
+/// on the scalar and batched paths, so their results are too.
+fn admitted_sim(p: &FaultPoint) -> Result<Sim, Refusal> {
+    assert!(
+        !p.scheme.is_deflection(),
+        "fault sweeps drive VC-router schemes only"
+    );
+    let cfg = p.config();
+    admit(p.scheme, &cfg)?;
     let wl = SyntheticWorkload::new(p.pattern, p.rate, cfg.cols, cfg.rows, cfg.warmup, p.seed);
     let mech = p.scheme.mechanism(&cfg);
     let mut sim = Sim::new(cfg, Box::new(wl), mech);
     sim.net.enable_flight_recorder(64);
-    sim
+    Ok(sim)
 }
 
-/// Escalates a wedged simulation: captures the black-box dump and panics
-/// with its path (the isolation layer turns this into a failed row).
-fn escalate_wedge(p: &FaultPoint, sim: &Sim, dump_dir: &Path) -> ! {
-    let bb = watchdog::BlackBox::capture(&sim.net, &p.scheme.label(), &sim.mech.debug_state());
-    let path = dump_dir.join(format!("blackbox_{}.json", p.key()));
-    let _ = std::fs::create_dir_all(dump_dir);
-    let where_ = match bb.write(&path) {
-        Ok(()) => format!("black-box dump at {}", path.display()),
-        Err(e) => format!("black-box dump failed to write to {}: {e}", path.display()),
+/// The `NOC_SWEEP_PANIC_KEY` test hook: the needle, when it names `p`.
+fn panic_injected(p: &FaultPoint) -> Option<String> {
+    let needle = std::env::var("NOC_SWEEP_PANIC_KEY").ok()?;
+    let hit = !needle.is_empty() && (p.ident().contains(&needle) || p.key().contains(&needle));
+    hit.then_some(needle)
+}
+
+/// What a watchdog-sliced run advances: one simulation, or a lockstep
+/// batch of them.
+pub(crate) trait Lanes {
+    fn advance(&mut self, cycles: u64);
+    fn lanes(&self) -> &[Sim];
+}
+
+impl Lanes for Sim {
+    fn advance(&mut self, cycles: u64) {
+        self.run(cycles);
+    }
+    fn lanes(&self) -> &[Sim] {
+        std::slice::from_ref(self)
+    }
+}
+
+impl Lanes for LockstepBatch {
+    fn advance(&mut self, cycles: u64) {
+        self.run(cycles);
+    }
+    fn lanes(&self) -> &[Sim] {
+        LockstepBatch::lanes(self)
+    }
+}
+
+/// Why [`run_watched`] stopped short.
+pub(crate) enum Halt {
+    /// The lane at this index made no progress for
+    /// [`watchdog::DEFAULT_STUCK_THRESHOLD`] cycles.
+    Wedged(usize),
+    /// The cancellation check fired.
+    Cancelled,
+}
+
+/// The one watchdog-sliced run, for sweep points (scalar and batched) and
+/// chaos cases: advances `run` by `cycles` in [`WATCHDOG_PERIOD`] slices
+/// and, after every slice, stops at the first wedged lane — a sustained
+/// stall escalates instead of spinning to the cycle budget — and then at a
+/// fired `cancelled`.
+pub(crate) fn run_watched(
+    run: &mut impl Lanes,
+    cycles: u64,
+    cancelled: impl Fn() -> bool,
+) -> Result<(), Halt> {
+    let stuck = |s: &Sim| watchdog::looks_stuck(&s.net, watchdog::DEFAULT_STUCK_THRESHOLD);
+    let mut remaining = cycles;
+    while remaining > 0 {
+        let slice = WATCHDOG_PERIOD.min(remaining);
+        run.advance(slice);
+        remaining -= slice;
+        if let Some(lane) = run.lanes().iter().position(stuck) {
+            return Err(Halt::Wedged(lane));
+        }
+        if cancelled() {
+            return Err(Halt::Cancelled);
+        }
+    }
+    Ok(())
+}
+
+/// Where a run's black box goes: `<dump_dir>/blackbox_<key>.json`.
+pub(crate) fn blackbox_path(dump_dir: &Path, key: &str) -> PathBuf {
+    dump_dir.join(format!("blackbox_{key}.json"))
+}
+
+/// The one black-box dump of a wedged run: captures `sim` (per-VC
+/// occupancy, blocked heads, wait-for witness, mechanism state, last switch
+/// traversals) to [`blackbox_path`]. Returns the wedge's detail (`no
+/// progress for <threshold> cycles at cycle <now>`) and the dump's path, or
+/// why it is not on disk.
+pub(crate) fn dump_wedge(
+    sim: &Sim,
+    scheme: Scheme,
+    key: &str,
+    dump_dir: &Path,
+) -> (String, Result<PathBuf, String>) {
+    let bb = watchdog::BlackBox::capture(&sim.net, &scheme.label(), &sim.mech.debug_state());
+    let path = blackbox_path(dump_dir, key);
+    let dump = match bb.write(&path) {
+        Ok(()) => Ok(path),
+        Err(e) => Err(format!(
+            "black-box dump failed to write to {}: {e}",
+            path.display()
+        )),
     };
-    panic!(
-        "point {} wedged: no progress for {} cycles at cycle {} — {where_}",
-        p.ident(),
-        watchdog::DEFAULT_STUCK_THRESHOLD,
-        sim.net.cycle
+    let stuck = watchdog::DEFAULT_STUCK_THRESHOLD;
+    let detail = format!("no progress for {stuck} cycles at cycle {}", sim.net.cycle);
+    (detail, dump)
+}
+
+/// Escalates a wedged point: dumps its black box and panics with the path
+/// (the isolation layer turns this into a failed row).
+fn escalate_wedge(p: &FaultPoint, sim: &Sim, dump_dir: &Path) -> ! {
+    let (detail, dump) = dump_wedge(sim, p.scheme, &p.key(), dump_dir);
+    let where_ = dump.map_or_else(
+        |e| e,
+        |path| format!("black-box dump at {}", path.display()),
     );
+    panic!("point {} wedged: {detail} — {where_}", p.ident());
 }
 
 /// Executes one datapoint. May panic — on a wedged network (after writing
@@ -562,41 +593,25 @@ fn escalate_wedge(p: &FaultPoint, sim: &Sim, dump_dir: &Path) -> ! {
 /// any simulator bug; the caller isolates it. A fired cancellation token
 /// abandons the point between watchdog slices.
 fn execute_point(p: &FaultPoint, dump_dir: &Path, ctx: Option<&SweepCtx>) -> PointRun {
-    if let Ok(needle) = std::env::var("NOC_SWEEP_PANIC_KEY") {
-        let id = p.ident();
-        if !needle.is_empty() && (id.contains(&needle) || p.key().contains(&needle)) {
-            panic!("injected test panic (NOC_SWEEP_PANIC_KEY={needle}) for point {id}");
-        }
+    if let Some(needle) = panic_injected(p) {
+        panic!(
+            "injected test panic (NOC_SWEEP_PANIC_KEY={needle}) for point {}",
+            p.ident()
+        );
     }
-    assert!(
-        !p.scheme.is_deflection(),
-        "fault sweeps drive VC-router schemes only"
-    );
     let cancelled = || ctx.is_some_and(|c| c.cancel.is_cancelled());
     if cancelled() {
         return PointRun::Interrupted;
     }
-    let cfg = p.config();
-    if let Some((status, reason)) = gate_point(p, &cfg) {
-        return PointRun::Skipped { status, reason };
+    let mut sim = match admitted_sim(p) {
+        Ok(sim) => sim,
+        Err(refusal) => return PointRun::Skipped(refusal),
+    };
+    match run_watched(&mut sim, p.cycles, cancelled) {
+        Ok(()) => PointRun::Done(Box::new(sim.finish().clone())),
+        Err(Halt::Wedged(_)) => escalate_wedge(p, &sim, dump_dir),
+        Err(Halt::Cancelled) => PointRun::Interrupted,
     }
-    let mut sim = build_point_sim(p, cfg);
-
-    // Run in watchdog-sized slices; escalate a sustained stall to a
-    // black-box dump + panic instead of spinning to the cycle budget.
-    let mut remaining = p.cycles;
-    while remaining > 0 {
-        let slice = WATCHDOG_PERIOD.min(remaining);
-        sim.run(slice);
-        remaining -= slice;
-        if watchdog::looks_stuck(&sim.net, watchdog::DEFAULT_STUCK_THRESHOLD) {
-            escalate_wedge(p, &sim, dump_dir);
-        }
-        if cancelled() {
-            return PointRun::Interrupted;
-        }
-    }
-    PointRun::Done(Box::new(sim.finish().clone()))
 }
 
 /// Shared row prefix: identity first (key/series/scheme/...), then the
@@ -678,13 +693,11 @@ fn run_isolated(p: &FaultPoint, dump_dir: &Path, ctx: Option<&SweepCtx>) -> Opti
     let outcome = attempt().or_else(|_first| attempt());
     match outcome {
         Ok(PointRun::Done(stats)) => Some((render_done(p, &stats), false)),
-        Ok(PointRun::Skipped { status, reason }) => {
-            Some((render_status(p, status, &reason), false))
-        }
+        Ok(PointRun::Skipped(r)) => Some((render_status(p, r.status, &r.reason), false)),
         Ok(PointRun::Interrupted) => None,
         Err(msg) => {
             let mut row = row_base(p, "failed").str_field("reason", &msg);
-            let dump = dump_dir.join(format!("blackbox_{}.json", p.key()));
+            let dump = blackbox_path(dump_dir, &p.key());
             if dump.is_file() {
                 row = row.str_field("blackbox", &dump.display().to_string());
             }
@@ -717,11 +730,11 @@ fn chunk_compatible<'a>(todo: &[&'a FaultPoint], width: usize) -> Vec<Vec<&'a Fa
         .collect()
 }
 
-/// Executes a compatible chunk through one [`LockstepBatch`]. Gated points
-/// become status rows without a lane; the rest run in lockstep under the
-/// same watchdog slicing as the scalar path. May panic (a wedged lane, a
-/// simulator bug) — the caller falls back to per-point isolation, which
-/// reproduces the scalar outcome for every point in the chunk. A fired
+/// Executes a compatible chunk through one [`LockstepBatch`]. Refused
+/// points become status rows without a lane; the rest run in lockstep
+/// under the same [`run_watched`] as the scalar path. May panic (a wedged
+/// lane, a simulator bug) — the caller falls back to per-point isolation,
+/// which reproduces the scalar outcome for every point in the chunk. A fired
 /// cancellation token abandons every in-flight lane (`None` entries — no
 /// rows; the points stay missing).
 fn execute_chunk_batched(
@@ -733,34 +746,25 @@ fn execute_chunk_batched(
     let mut lanes = Vec::new();
     let mut lane_points = Vec::new();
     for (i, p) in chunk.iter().enumerate() {
-        assert!(
-            !p.scheme.is_deflection(),
-            "fault sweeps drive VC-router schemes only"
-        );
-        let cfg = p.config();
-        match gate_point(p, &cfg) {
-            Some((status, reason)) => rows[i] = Some((render_status(p, status, &reason), false)),
-            None => {
-                lanes.push(build_point_sim(p, cfg));
+        match admitted_sim(p) {
+            Err(r) => rows[i] = Some((render_status(p, r.status, &r.reason), false)),
+            Ok(sim) => {
+                lanes.push(sim);
                 lane_points.push(i);
             }
         }
     }
     if !lanes.is_empty() {
         let mut batch = LockstepBatch::new(lanes);
-        let mut remaining = chunk[lane_points[0]].cycles;
-        while remaining > 0 {
-            if ctx.is_some_and(|c| c.cancel.is_cancelled()) {
-                return rows;
+        let cycles = chunk[lane_points[0]].cycles;
+        match run_watched(&mut batch, cycles, || {
+            ctx.is_some_and(|c| c.cancel.is_cancelled())
+        }) {
+            Ok(()) => {}
+            Err(Halt::Wedged(lane)) => {
+                escalate_wedge(chunk[lane_points[lane]], &batch.lanes()[lane], dump_dir)
             }
-            let slice = WATCHDOG_PERIOD.min(remaining);
-            batch.run(slice);
-            remaining -= slice;
-            for (lane, &i) in batch.lanes().iter().zip(&lane_points) {
-                if watchdog::looks_stuck(&lane.net, watchdog::DEFAULT_STUCK_THRESHOLD) {
-                    escalate_wedge(chunk[i], lane, dump_dir);
-                }
-            }
+            Err(Halt::Cancelled) => return rows,
         }
         for (lane, &i) in batch.lanes_mut().iter_mut().zip(&lane_points) {
             let stats = lane.finish().clone();
@@ -790,14 +794,8 @@ fn run_chunk(
     if chunk.len() == 1 {
         return scalar(chunk);
     }
-    if let Ok(needle) = std::env::var("NOC_SWEEP_PANIC_KEY") {
-        if !needle.is_empty()
-            && chunk
-                .iter()
-                .any(|p| p.ident().contains(&needle) || p.key().contains(&needle))
-        {
-            return scalar(chunk);
-        }
+    if chunk.iter().any(|p| panic_injected(p).is_some()) {
+        return scalar(chunk);
     }
     match rayon::catch_panic(|| execute_chunk_batched(chunk, dump_dir, ctx)) {
         Ok(rows) => rows,
@@ -808,8 +806,8 @@ fn run_chunk(
 /// Summary of one [`run_sweep`] invocation.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SweepOutcome {
-    /// Points that recorded a row this run (completed, skipped by the
-    /// certification gate, or failed).
+    /// Points that recorded a row this run (completed, refused by
+    /// [`admit`], or failed).
     pub executed: usize,
     /// Points already present in the checkpoint and not re-run.
     pub resumed: usize,

@@ -84,11 +84,16 @@ done
 #    the one line check (`sweep::load_line`), `seal_line(` in the service's
 #    whole-file first record (appends go through `append_sealed`), and the
 #    deleted `RetryPolicy` nowhere — so the twin copies cannot grow back.
+prod_files() { # production sources of every workspace crate, sorted
+    find crates -path crates/compat -prune -o -path 'crates/*/src/*' -name '*.rs' -print | sort
+}
+prod_code() { # file -> its text up to the `#[cfg(test)]` module
+    sed '/^#\[cfg(test)\]/,$d' "$1"
+}
 journal_hits() { # pattern
-    find crates -path crates/compat -prune -o -path 'crates/*/src/*' -name '*.rs' -print |
-        grep -v '^crates/noc-store/' | sort | while read -r f; do
-            sed '/^#\[cfg(test)\]/,$d' "$f" | grep -c -- "$1" | sed "s|^|$f:|"
-        done | grep -v ':0$'
+    prod_files | grep -v '^crates/noc-store/' | while read -r f; do
+        prod_code "$f" | grep -c -- "$1" | sed "s|^|$f:|"
+    done | grep -v ':0$'
 }
 for rule in 'open_line(=crates/noc-experiments/src/sweep.rs:1' \
             'seal_line(=crates/noc-serve/src/service.rs:1' \
@@ -98,6 +103,35 @@ for rule in 'open_line(=crates/noc-experiments/src/sweep.rs:1' \
     got=$(journal_hits "$pattern" | tr '\n' ' ' | sed 's/ $//')
     if [ "$got" != "$want" ]; then
         complain "'$pattern' must appear only at [${want:-nowhere}], found [${got:-nowhere}]"
+    fi
+done
+
+# 6. One admission rule. `runner::admit` decides for the runner, the sweep
+#    and the chaos loop alike, so in production code the routing-reliant
+#    scheme set (`SchemeKind::None | SchemeKind::EscapeVc | SchemeKind::Tfc`,
+#    in any order) is spelled once, noc-experiments calls the degraded and
+#    recovery certifiers only inside `admit`, and the deleted way around it
+#    (`NOC_ALLOW_UNVERIFIED`, `allow_unverified`) appears nowhere.
+reliant='SchemeKind::(None|EscapeVc|Tfc)( ?[|] ?SchemeKind::(None|EscapeVc|Tfc)){2}'
+sets=$(prod_files | while read -r f; do
+    prod_code "$f" | tr -s ' \n' ' ' | grep -oE "$reliant" | sed "s|^|$f: |"
+done)
+if [ "$(printf '%s' "$sets" | grep -c .)" -ne 1 ]; then
+    complain "the routing-reliant SchemeKind set must be written once, found [$(echo $sets)]"
+fi
+override=$(prod_files | while read -r f; do
+    prod_code "$f" | grep -qE 'NOC_ALLOW_UNVERIFIED|allow_unverified' && echo "$f"
+done)
+if [ -n "$override" ]; then
+    complain "the unverified-run override is back in [$(echo $override)]"
+fi
+for call in 'certify_degraded(' 'certify_recovery('; do
+    total=$(prod_files | grep '^crates/noc-experiments/' | while read -r f; do
+        prod_code "$f"
+    done | grep -c -- "$call")
+    inside=$(sed -n '/^pub fn admit(/,/^}/p' crates/noc-experiments/src/runner.rs | grep -c -- "$call")
+    if [ "$inside" -lt 1 ] || [ "$total" -ne "$inside" ]; then
+        complain "noc-experiments calls '$call' $total time(s), $inside inside runner::admit; want all of them there"
     fi
 done
 
