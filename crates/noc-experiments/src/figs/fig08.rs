@@ -1,11 +1,10 @@
 //! Fig 8: latency versus injection rate across traffic patterns and mesh
 //! sizes, all schemes.
 
-use crate::runner::Scheme;
-use crate::saturation::{curve_point, CurvePoint};
+use crate::runner::{Scheme, SynthSpec};
+use crate::saturation::rate_table;
 use crate::table::{fmt_latency, FigTable};
 use noc_traffic::TrafficPattern;
-use rayon::prelude::*;
 
 /// The figure's line-up: proactive, reactive, subactive, deflection, SEEC.
 pub fn schemes() -> Vec<Scheme> {
@@ -26,7 +25,6 @@ pub fn schemes() -> Vec<Scheme> {
 /// One latency-vs-injection panel (a single pattern × mesh size, 4 VCs as in
 /// §4.3). `quick` shrinks rates/cycles for smoke tests and benches.
 pub fn panel(pattern: TrafficPattern, k: u8, quick: bool) -> FigTable {
-    let vcs = 4;
     // Larger meshes sweep fewer points for tractable single-core runtimes;
     // the knee sits well inside the range either way.
     let (rates, cycles): (Vec<f64>, u64) = if quick {
@@ -36,38 +34,17 @@ pub fn panel(pattern: TrafficPattern, k: u8, quick: bool) -> FigTable {
     } else {
         ((1..=8).map(|i| i as f64 * 0.03).collect(), 20_000)
     };
-    let mut cols = vec!["inj_rate".to_string()];
-    let list = schemes();
-    cols.extend(list.iter().map(|s| s.label()));
-    let colrefs: Vec<&str> = cols.iter().map(String::as_str).collect();
-    let mut t = FigTable::new(
+    rate_table(
         format!(
             "Fig 8 — avg packet latency vs injection rate, {} on {k}x{k} (4 VCs)",
             pattern.label()
         ),
-        &colrefs,
+        &schemes(),
+        &rates,
+        |s, r| SynthSpec::new(k, 4, s, pattern, r).with_cycles(cycles),
+        |s| fmt_latency(s.avg_total_latency()),
     )
-    .with_note("paper: SEEC ≥ all baselines; mSEEC best; minBD saturates first");
-    // One flat scheme × rate sweep: a single parallel region with
-    // |schemes|·|rates| independent design points load-balances far better
-    // than per-scheme sweeps (the quick panel alone yields 40 tasks).
-    let pairs: Vec<(Scheme, f64)> = list
-        .iter()
-        .flat_map(|&s| rates.iter().map(move |&r| (s, r)))
-        .collect();
-    let points: Vec<CurvePoint> = pairs
-        .into_par_iter()
-        .map(|(s, rate)| curve_point(k, vcs, s, pattern, rate, cycles))
-        .collect();
-    let curves: Vec<&[CurvePoint]> = points.chunks(rates.len()).collect();
-    for (i, &rate) in rates.iter().enumerate() {
-        let mut row = vec![format!("{rate:.3}")];
-        for curve in &curves {
-            row.push(fmt_latency(curve[i].avg_latency));
-        }
-        t.push_row(row);
-    }
-    t
+    .with_note("paper: SEEC ≥ all baselines; mSEEC best; minBD saturates first")
 }
 
 /// The full figure: the paper's four patterns × {4×4, 8×8, 16×16}.

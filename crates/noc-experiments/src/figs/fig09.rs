@@ -1,11 +1,10 @@
 //! Fig 9: saturation throughput for bit-rotation and transpose across mesh
 //! sizes and VC counts.
 
-use crate::runner::Scheme;
-use crate::saturation::find_saturation;
-use crate::table::{fmt_throughput, FigTable};
+use crate::runner::{Scheme, SynthSpec};
+use crate::saturation::{saturation, Saturation};
+use crate::table::FigTable;
 use noc_traffic::TrafficPattern;
-use rayon::prelude::*;
 
 pub fn schemes() -> Vec<Scheme> {
     vec![
@@ -19,39 +18,41 @@ pub fn schemes() -> Vec<Scheme> {
     ]
 }
 
-/// One pattern's table: rows = scheme, columns = (mesh, VCs) combinations.
+/// One pattern's table: rows = scheme, columns = (mesh, VCs) combinations,
+/// cells = `median [min..max]` over the search's seeds.
 pub fn panel(pattern: TrafficPattern, quick: bool) -> FigTable {
     let (sizes, vcs_list, cycles): (&[u8], &[u8], u64) = if quick {
         (&[4], &[2], 6_000)
     } else {
         (&[4, 8], &[1, 2, 4], 20_000)
     };
+    let meshes: Vec<(u8, u8)> = sizes
+        .iter()
+        .flat_map(|&k| vcs_list.iter().map(move |&v| (k, v)))
+        .collect();
     let mut cols = vec!["scheme".to_string()];
-    for &k in sizes {
-        for &v in vcs_list {
-            cols.push(format!("{k}x{k}/{v}vc"));
-        }
-    }
+    cols.extend(meshes.iter().map(|(k, v)| format!("{k}x{k}/{v}vc")));
     let colrefs: Vec<&str> = cols.iter().map(String::as_str).collect();
     let mut t = FigTable::new(
         format!("Fig 9 — saturation throughput, {}", pattern.label()),
         &colrefs,
     )
     .with_note("paper: mSEEC > SEEC > SWAP/DRAIN > SPIN > WF/XY; decreases with size");
-    let rows: Vec<Vec<String>> = schemes()
-        .par_iter()
-        .map(|&s| {
-            let mut row = vec![s.label()];
-            for &k in sizes {
-                for &v in vcs_list {
-                    row.push(fmt_throughput(find_saturation(k, v, s, pattern, cycles)));
-                }
-            }
-            row
+    let list = schemes();
+    let points: Vec<SynthSpec> = list
+        .iter()
+        .flat_map(|&s| {
+            meshes
+                .iter()
+                .map(move |&(k, v)| SynthSpec::new(k, v, s, pattern, 0.0))
         })
+        .map(|p| p.with_cycles(cycles))
         .collect();
-    for r in rows {
-        t.push_row(r);
+    let sats = saturation(&points);
+    for (s, row) in list.iter().zip(sats.chunks(meshes.len())) {
+        let mut cells = vec![s.label()];
+        cells.extend(row.iter().map(Saturation::throughput));
+        t.push_row(cells);
     }
     t
 }
@@ -72,8 +73,8 @@ mod tests {
         let t = panel(TrafficPattern::Transpose, true);
         assert_eq!(t.rows.len(), schemes().len());
         for row in &t.rows {
-            let v: f64 = row[1].parse().unwrap();
-            assert!(v > 0.0, "{}: zero saturation", row[0]);
+            let median: f64 = row[1].split(' ').next().unwrap().parse().unwrap();
+            assert!(median > 0.0, "{}: zero saturation", row[0]);
         }
     }
 }

@@ -1,10 +1,11 @@
 //! Fig 10: (a) share of packets delivered via Free Flow as load rises;
-//! (b) latency breakdown of FF vs regular packets (buffered vs bufferless).
+//! (b) latency breakdown of FF vs regular packets (queued, buffered and
+//! bufferless time).
 
 use crate::runner::{run_synth, Scheme, SynthSpec};
+use crate::saturation::rate_table;
 use crate::table::{fmt_latency, fmt_ratio, FigTable};
 use noc_traffic::TrafficPattern;
-use rayon::prelude::*;
 
 /// Panel (a): FF fraction vs injection rate, SEEC and mSEEC, UR on 8×8.
 pub fn panel_a(quick: bool) -> FigTable {
@@ -13,43 +14,19 @@ pub fn panel_a(quick: bool) -> FigTable {
     } else {
         (8, (1..=8).map(|i| i as f64 * 0.05).collect(), 20_000)
     };
-    let mut t = FigTable::new(
+    rate_table(
         format!("Fig 10a — fraction of received packets that used FF (uniform random, {k}x{k})"),
-        &["inj_rate", "SEEC", "mSEEC"],
+        &[Scheme::seec(), Scheme::mseec()],
+        &rates,
+        |s, r| SynthSpec::new(k, 4, s, TrafficPattern::UniformRandom, r).with_cycles(cycles),
+        |s| fmt_ratio(s.ff_fraction()),
     )
-    .with_note("paper: → ~100% for SEEC post-saturation, ~50% for mSEEC");
-    let seec: Vec<f64> = rates
-        .par_iter()
-        .map(|&r| {
-            run_synth(
-                SynthSpec::new(k, 4, Scheme::seec(), TrafficPattern::UniformRandom, r)
-                    .with_cycles(cycles),
-            )
-            .ff_fraction()
-        })
-        .collect();
-    let mseec: Vec<f64> = rates
-        .par_iter()
-        .map(|&r| {
-            run_synth(
-                SynthSpec::new(k, 4, Scheme::mseec(), TrafficPattern::UniformRandom, r)
-                    .with_cycles(cycles),
-            )
-            .ff_fraction()
-        })
-        .collect();
-    for (i, &r) in rates.iter().enumerate() {
-        t.push_row(vec![
-            format!("{r:.3}"),
-            fmt_ratio(seec[i]),
-            fmt_ratio(mseec[i]),
-        ]);
-    }
-    t
+    .with_note("paper: → ~100% for SEEC post-saturation, ~50% for mSEEC")
 }
 
-/// Panel (b): buffered vs bufferless latency split of FF packets, and the
-/// regular packets' latency, at low and high load.
+/// Panel (b): the latency split of FF packets (source queue, buffered,
+/// bufferless) and the regular packets' network latency, at low and high
+/// load, averaged over every post-warm-up delivery (DESIGN §6 item 7).
 pub fn panel_b(quick: bool) -> FigTable {
     let (k, cycles) = if quick { (4, 6_000) } else { (8, 30_000) };
     let loads = [("low", 0.05), ("high", 0.14)];
@@ -57,6 +34,7 @@ pub fn panel_b(quick: bool) -> FigTable {
         format!("Fig 10b — latency breakdown, SEEC, uniform random, {k}x{k}"),
         &[
             "load",
+            "ff_queued",
             "ff_buffered",
             "ff_bufferless",
             "ff_total",
@@ -69,31 +47,16 @@ pub fn panel_b(quick: bool) -> FigTable {
             SynthSpec::new(k, 4, Scheme::seec(), TrafficPattern::UniformRandom, rate)
                 .with_cycles(cycles),
         );
-        let ffb = if s.ff_packets > 0 {
-            s.sum_ff_buffered as f64 / s.ff_packets as f64
-        } else {
-            0.0
-        };
-        let ffl = if s.ff_packets > 0 {
-            s.sum_ff_bufferless as f64 / s.ff_packets as f64
-        } else {
-            0.0
-        };
-        let reg = {
-            let n = s.ejected_packets - s.ff_packets;
-            if n > 0 {
-                s.sum_regular_latency as f64 / n as f64
-            } else {
-                0.0
-            }
-        };
-        t.push_row(vec![
-            name.into(),
-            fmt_latency(ffb),
-            fmt_latency(ffl),
-            fmt_latency(ffb + ffl),
-            fmt_latency(reg),
-        ]);
+        // A sum over no deliveries is 0, so the mean is 0 too.
+        let mean = |sum: u64, n: u64| sum as f64 / n.max(1) as f64;
+        let ff = [s.sum_ff_queued, s.sum_ff_buffered, s.sum_ff_bufferless]
+            .map(|sum| mean(sum, s.ff_packets_all));
+        let regular = s.ejected_packets_all - s.ff_packets_all;
+        let mut row = vec![name.to_string()];
+        row.extend(ff.map(fmt_latency));
+        row.push(fmt_latency(ff.iter().sum()));
+        row.push(fmt_latency(mean(s.sum_regular_latency, regular)));
+        t.push_row(row);
     }
     t
 }
@@ -122,10 +85,12 @@ mod tests {
     fn breakdown_rows_have_consistent_totals() {
         let t = panel_b(true);
         for row in &t.rows {
-            let b: f64 = row[1].parse().unwrap();
-            let l: f64 = row[2].parse().unwrap();
-            let tot: f64 = row[3].parse().unwrap();
-            assert!((b + l - tot).abs() < 0.2);
+            let part = |i: usize| row[i].parse::<f64>().unwrap();
+            assert!(
+                (part(1) + part(2) + part(3) - part(4)).abs() < 0.2,
+                "{row:?}"
+            );
+            assert!(part(4) > 0.0, "{row:?}: no FF delivery");
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Fig 12: the routing-algorithm deep dive — XY, West-first, oblivious vs
 //! adaptive random under escape-VC, SEEC and mSEEC, all with 2 VCs.
 
-use crate::runner::Scheme;
-use crate::saturation::latency_curve;
+use crate::runner::{Scheme, SynthSpec};
+use crate::saturation::rate_table;
 use crate::table::{fmt_latency, FigTable};
 use noc_traffic::TrafficPattern;
 use noc_types::BaseRouting;
@@ -38,32 +38,19 @@ pub fn panel(pattern: TrafficPattern, quick: bool) -> FigTable {
     } else {
         (8, (1..=8).map(|i| i as f64 * 0.03).collect(), 20_000)
     };
-    let list = schemes();
-    let mut cols = vec!["inj_rate".to_string()];
-    cols.extend(list.iter().map(|s| s.label()));
-    let colrefs: Vec<&str> = cols.iter().map(String::as_str).collect();
-    let mut t = FigTable::new(
+    rate_table(
         format!(
             "Fig 12 — routing algorithms under deadlock-free NoCs, {} on {k}x{k} (2 VCs)",
             pattern.label()
         ),
-        &colrefs,
+        &schemes(),
+        &rates,
+        |s, r| SynthSpec::new(k, 2, s, pattern, r).with_cycles(cycles),
+        |s| fmt_latency(s.avg_total_latency()),
     )
     .with_note(
         "paper: XY wins UR except vs mSEEC; adaptive > oblivious; mSEEC best on both patterns",
-    );
-    let curves: Vec<_> = list
-        .iter()
-        .map(|&s| latency_curve(k, 2, s, pattern, &rates, cycles))
-        .collect();
-    for (i, &rate) in rates.iter().enumerate() {
-        let mut row = vec![format!("{rate:.3}")];
-        for c in &curves {
-            row.push(fmt_latency(c[i].avg_latency));
-        }
-        t.push_row(row);
-    }
-    t
+    )
 }
 
 pub fn run(quick: bool) -> Vec<FigTable> {

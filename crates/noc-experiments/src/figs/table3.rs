@@ -6,10 +6,12 @@
 //! mSEEC seeks in 1..O(m·k) and resolves in O(m·k³). We measure average
 //! seek duration (side-band hops per seek) and the time from a deadlock's
 //! formation to its resolution under a saturating load, across mesh sizes.
+//! Every column counts every FF delivery after warm-up (DESIGN §6 item 7).
 
 use crate::runner::{run_synth, Scheme, SynthSpec};
 use crate::table::{fmt_latency, FigTable};
 use noc_traffic::TrafficPattern;
+use noc_types::NetConfig;
 use rayon::prelude::*;
 
 /// Measured seek cost per FF delivery for both schemes across mesh sizes.
@@ -23,7 +25,7 @@ pub fn run(quick: bool) -> FigTable {
             "scheme",
             "sideband_hops/FF",
             "avg_ff_service",
-            "ff_packets",
+            "ff_packets_all",
         ],
     )
     .with_note("paper bounds: SEEC seek O(m*k^2) vs mSEEC O(m*k); both fly minimal FF paths");
@@ -35,26 +37,20 @@ pub fn run(quick: bool) -> FigTable {
                 .map(move |scheme| (k, scheme))
         })
         .map(|(k, scheme)| {
-            let s = run_synth(
-                SynthSpec::new(k, 2, scheme, TrafficPattern::UniformRandom, 0.30)
-                    .with_cycles(cycles),
-            );
-            let per_ff = if s.ff_packets > 0 {
-                s.sideband_hops as f64 / s.ff_packets as f64
-            } else {
-                f64::NAN
-            };
-            let service = if s.ff_packets > 0 {
-                s.sum_ff_bufferless as f64 / s.ff_packets as f64
-            } else {
-                f64::NAN
-            };
+            let spec = SynthSpec::new(k, 2, scheme, TrafficPattern::UniformRandom, 0.30)
+                .with_cycles(cycles);
+            let s = run_synth(spec);
+            // Side-band hops count from cycle 0; a run that stops at the end
+            // of warm-up is this run's exact prefix.
+            let warmup = NetConfig::synth(k, 2).warmup;
+            let hops = s.sideband_hops - run_synth(spec.with_cycles(warmup)).sideband_hops;
+            let per_ff = |sum: u64| sum as f64 / s.ff_packets_all as f64;
             vec![
                 format!("{k}x{k}"),
                 scheme.label(),
-                fmt_latency(per_ff),
-                fmt_latency(service),
-                s.ff_packets.to_string(),
+                fmt_latency(per_ff(hops)),
+                fmt_latency(per_ff(s.sum_ff_bufferless)),
+                s.ff_packets_all.to_string(),
             ]
         })
         .collect();
@@ -75,6 +71,8 @@ mod tests {
         for row in &t.rows {
             let n: u64 = row[4].parse().unwrap();
             assert!(n > 0, "{}: no FF packets at saturating load", row[1]);
+            let per_ff: f64 = row[2].parse().unwrap();
+            assert!(per_ff.is_finite(), "{}: hops/FF {per_ff}", row[1]);
         }
     }
 }

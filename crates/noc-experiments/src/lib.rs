@@ -45,7 +45,6 @@ pub use chaos::{
 };
 pub use job::{JobCtx, JobError, JobProgress, JobReport, SimJob};
 pub use runner::{admit, run_app, run_synth, AppSpec, Refusal, Scheme, SynthSpec};
-pub use saturation::find_saturation;
 pub use storage_chaos::run_storage_chaos;
 pub use sweep::{run_sweep, Checkpoint, FaultPoint, SweepOutcome};
 pub use table::FigTable;

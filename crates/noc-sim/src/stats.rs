@@ -118,11 +118,15 @@ pub struct Stats {
     /// All post-warm-up deliveries that used Free Flow (basis for Fig 10a's
     /// fraction — measured packets starve past saturation).
     pub ff_packets_all: u64,
+    /// The FF latency split (Fig 10b), summed over the same post-warm-up
+    /// deliveries as [`Stats::ff_packets_all`]. Of FF packets: cycles in the
+    /// source queue (birth → inject; a queue-rescued packet's whole wait).
+    pub sum_ff_queued: u64,
     /// Of FF packets: cycles spent before the upgrade (buffered traversal).
     pub sum_ff_buffered: u64,
     /// Of FF packets: cycles spent after the upgrade (bufferless traversal).
     pub sum_ff_bufferless: u64,
-    /// Of never-upgraded packets: total network latency.
+    /// Of never-upgraded post-warm-up deliveries: total network latency.
     pub sum_regular_latency: u64,
 
     /// Data-link flit traversals (all flits, measured or not, incl. FF and
@@ -271,8 +275,13 @@ impl Stats {
         if p.eject >= self.measure_start {
             self.ejected_packets_all += 1;
             self.ejected_flits_all += p.len_flits as u64;
-            if p.ff_upgrade.is_some() {
+            if let Some(up) = p.ff_upgrade {
                 self.ff_packets_all += 1;
+                self.sum_ff_queued += p.queue_latency();
+                self.sum_ff_buffered += up.saturating_sub(p.inject);
+                self.sum_ff_bufferless += p.eject.saturating_sub(up);
+            } else {
+                self.sum_regular_latency += p.network_latency();
             }
         }
         if !p.measured {
@@ -291,12 +300,8 @@ impl Stats {
         }
         self.latency_samples[cls].push(u32::try_from(total).unwrap_or(u32::MAX));
         self.sum_hops += p.hops as u64;
-        if let Some(up) = p.ff_upgrade {
+        if p.ff_upgrade.is_some() {
             self.ff_packets += 1;
-            self.sum_ff_buffered += up.saturating_sub(p.inject);
-            self.sum_ff_bufferless += p.eject.saturating_sub(up);
-        } else {
-            self.sum_regular_latency += p.network_latency();
         }
     }
 
@@ -463,9 +468,30 @@ mod tests {
         assert_eq!(s.avg_total_latency(), 17.0);
         assert_eq!(s.max_total_latency, 22);
         assert_eq!(s.ff_packets, 1);
+        assert_eq!(s.sum_ff_queued, 2); // birth 0 → inject 2
         assert_eq!(s.sum_ff_buffered, 8); // inject 2 → upgrade 10
         assert_eq!(s.sum_ff_bufferless, 12); // upgrade 10 → eject 22
         assert_eq!(s.sum_regular_latency, 10);
+    }
+
+    #[test]
+    fn ff_split_counts_every_post_warm_up_delivery() {
+        let mut s = Stats {
+            measure_start: 100,
+            ..Stats::default()
+        };
+        // Born before warm-up, queue-rescued at 150 (inject = upgrade).
+        let mut rescued = pkt(40, 150, 170, Some(150));
+        rescued.measured = false;
+        s.record_delivery(&rescued);
+        // Delivered before the window opens: counted nowhere.
+        let mut early = pkt(10, 20, 90, Some(30));
+        early.measured = false;
+        s.record_delivery(&early);
+        assert_eq!((s.ff_packets, s.ff_packets_all), (0, 1));
+        assert_eq!(s.sum_ff_queued, 110);
+        assert_eq!(s.sum_ff_buffered, 0);
+        assert_eq!(s.sum_ff_bufferless, 20);
     }
 
     #[test]

@@ -135,6 +135,30 @@ for call in 'certify_degraded(' 'certify_recovery('; do
     fi
 done
 
+# 7. One load-sweep path. `saturation::rate_table` and
+#    `saturation::saturation` schedule every offered-load sweep, so the
+#    deleted per-figure grid helpers stay gone from production code, the
+#    five load-sweep figures go through them, and no figure that does opens
+#    a parallel region of its own.
+helpers='\b(CurvePoint|curve_point|latency_curve|saturation_from_curve|find_saturation)\b'
+back=$(prod_files | while read -r f; do
+    prod_code "$f" | grep -qE "$helpers" && echo "$f"
+done)
+if [ -n "$back" ]; then
+    complain "deleted load-sweep helpers are back in [$(echo $back)]"
+fi
+for fig in fig08 fig09 fig10 fig12 fig13; do
+    if ! prod_code "crates/noc-experiments/src/figs/$fig.rs" | grep -qE '\b(rate_table|saturation)\('; then
+        complain "figs/$fig.rs sweeps load outside saturation::rate_table/saturation"
+    fi
+done
+for f in crates/noc-experiments/src/figs/*.rs; do
+    code=$(prod_code "$f")
+    if grep -qE '\b(rate_table|saturation)\(' <<<"$code" && grep -q 'par_iter' <<<"$code"; then
+        complain "$f sweeps load through saturation.rs and also calls par_iter"
+    fi
+done
+
 if [ "$fail" -ne 0 ]; then
     echo "lint-audit: FAILED" >&2
     exit 1

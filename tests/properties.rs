@@ -315,31 +315,76 @@ proptest! {
         );
     }
 
-    /// The FF latency decomposition always sums: buffered + bufferless =
-    /// network latency, for every delivered FF packet, across seeds.
+    /// The FF latency decomposition always sums over its window, every
+    /// post-warm-up delivery, across seeds: queued + buffered + bufferless
+    /// is the FF packets' total latency, and buffered + bufferless plus the
+    /// regular packets' network latency is the window's network latency.
     #[test]
     fn ff_latency_decomposition_sums(seed in 0u64..200) {
         use seec_repro::seec::SeecMechanism;
-        use seec_repro::sim::Sim;
+        use seec_repro::sim::{DeliveredPacket, Sim, Workload};
         use seec_repro::traffic::SyntheticWorkload;
-        use seec_repro::types::{NetConfig, RoutingAlgo};
+        use seec_repro::types::{Cycle, NetConfig, NodeId, Packet, RoutingAlgo};
+        use std::cell::Cell;
+        use std::rc::Rc;
+
+        /// Sums over the window: FF deliveries, their total latency, and
+        /// every delivery's network latency.
+        #[derive(Clone, Copy, Default, Debug, PartialEq)]
+        struct Sums {
+            ff: u64,
+            ff_total: u64,
+            network: u64,
+        }
+        /// Uniform random traffic that tallies each delivery it takes.
+        struct Tally {
+            traffic: SyntheticWorkload,
+            warmup: Cycle,
+            sums: Rc<Cell<Sums>>,
+        }
+        impl Workload for Tally {
+            fn generate(&mut self, cycle: Cycle, inject: &mut dyn FnMut(NodeId, Packet)) {
+                self.traffic.generate(cycle, inject);
+            }
+            fn deliver(&mut self, cycle: Cycle, p: &DeliveredPacket) -> bool {
+                let taken = self.traffic.deliver(cycle, p);
+                if taken && p.eject >= self.warmup {
+                    let mut s = self.sums.get();
+                    s.network += p.network_latency();
+                    if p.ff_upgrade.is_some() {
+                        s.ff += 1;
+                        s.ff_total += p.total_latency();
+                    }
+                    self.sums.set(s);
+                }
+                taken
+            }
+        }
 
         let cfg = NetConfig::synth(4, 1)
             .with_routing(RoutingAlgo::Uniform(BaseRouting::AdaptiveMinimal))
             .with_seed(seed);
-        let wl = SyntheticWorkload::new(
-            TrafficPattern::UniformRandom, 0.25, 4, 4, cfg.warmup, seed);
+        let sums = Rc::new(Cell::new(Sums::default()));
+        let tally = Tally {
+            traffic: SyntheticWorkload::new(
+                TrafficPattern::UniformRandom, 0.25, 4, 4, cfg.warmup, seed),
+            warmup: cfg.warmup,
+            sums: Rc::clone(&sums),
+        };
         let mech = SeecMechanism::for_net(&cfg);
-        let mut sim = Sim::new(cfg, Box::new(wl), Box::new(mech));
+        let mut sim = Sim::new(cfg, Box::new(tally), Box::new(mech));
         sim.run(12_000);
         let s = sim.finish();
-        if s.ff_packets > 0 {
-            // Aggregate identity: Σ(buffered + bufferless) over FF packets +
-            // Σ network latency over regular packets = Σ network latency.
-            prop_assert_eq!(
-                s.sum_ff_buffered + s.sum_ff_bufferless + s.sum_regular_latency,
-                s.sum_network_latency
-            );
-        }
+        let want = sums.get();
+        prop_assert!(want.ff > 0, "no FF delivery past warm-up");
+        prop_assert_eq!(s.ff_packets_all, want.ff);
+        prop_assert_eq!(
+            s.sum_ff_queued + s.sum_ff_buffered + s.sum_ff_bufferless,
+            want.ff_total
+        );
+        prop_assert_eq!(
+            s.sum_ff_buffered + s.sum_ff_bufferless + s.sum_regular_latency,
+            want.network
+        );
     }
 }
