@@ -11,7 +11,7 @@
 //! the loads we evaluate; see DESIGN.md). Flits route independently and are
 //! reassembled at the destination NIC.
 
-use noc_sim::network::{NocModel, HOP_LATENCY};
+use noc_sim::network::HOP_LATENCY;
 use noc_sim::stats::{DeliveredPacket, Stats};
 use noc_sim::workload::Workload;
 use noc_types::{Coord, Cycle, Direction, Flit, NetConfig, NodeId, PacketId};
@@ -36,8 +36,7 @@ struct Reassembly {
     max_hops: u8,
 }
 
-/// A deflection-network simulation (router + workload), driven via
-/// [`NocModel`].
+/// A deflection-network simulation (router + workload).
 pub struct DeflectionSim {
     pub cfg: NetConfig,
     pub kind: DeflectionKind,
@@ -251,6 +250,20 @@ impl DeflectionSim {
         self.cycle += 1;
     }
 
+    /// Runs for `cycles` cycles.
+    pub fn run(&mut self, cycles: u64) {
+        for _ in 0..cycles {
+            self.step_once();
+        }
+    }
+
+    /// Finalizes and returns the statistics.
+    pub fn finish(&mut self) -> Stats {
+        let c = self.cycle;
+        self.stats.finish(c);
+        self.stats.clone()
+    }
+
     /// Flits currently anywhere in the network (diagnostics).
     pub fn flits_in_network(&self) -> usize {
         self.inflight.iter().map(Vec::len).sum::<usize>()
@@ -258,30 +271,9 @@ impl DeflectionSim {
     }
 }
 
-impl NocModel for DeflectionSim {
-    fn tick(&mut self) {
-        self.step_once();
-    }
-
-    fn now(&self) -> Cycle {
-        self.cycle
-    }
-
-    fn stats(&self) -> &Stats {
-        &self.stats
-    }
-
-    fn finalize(&mut self) -> Stats {
-        let c = self.cycle;
-        self.stats.finish(c);
-        self.stats.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_sim::network::NocModel;
     use noc_traffic::{SyntheticWorkload, TrafficPattern};
 
     fn sim(kind: DeflectionKind, rate: f64, seed: u64) -> DeflectionSim {
@@ -294,8 +286,8 @@ mod tests {
     #[test]
     fn chipper_delivers_at_low_load() {
         let mut s = sim(DeflectionKind::Chipper, 0.02, 3);
-        s.run_for(20_000);
-        let st = s.finalize();
+        s.run(20_000);
+        let st = s.finish();
         assert!(st.ejected_packets > 0);
         assert!(
             st.ejected_packets as f64 >= 0.95 * st.injected_packets as f64,
@@ -308,11 +300,11 @@ mod tests {
     #[test]
     fn minbd_deflects_less_than_chipper() {
         let mut a = sim(DeflectionKind::Chipper, 0.10, 5);
-        a.run_for(20_000);
-        let sa = a.finalize();
+        a.run(20_000);
+        let sa = a.finish();
         let mut b = sim(DeflectionKind::MinBd, 0.10, 5);
-        b.run_for(20_000);
-        let sb = b.finalize();
+        b.run(20_000);
+        let sb = b.finish();
         assert!(sa.misroute_hops > 0, "chipper never deflected at 10% load?");
         let ra = sa.misroute_hops as f64 / sa.link_flit_hops.max(1) as f64;
         let rb = sb.misroute_hops as f64 / sb.link_flit_hops.max(1) as f64;
@@ -322,7 +314,7 @@ mod tests {
     #[test]
     fn deflection_never_loses_flits() {
         let mut s = sim(DeflectionKind::MinBd, 0.15, 7);
-        s.run_for(30_000);
+        s.run(30_000);
         // Everything injected is either delivered or still in the network.
         let inflight = s.flits_in_network() as u64;
         let reasm: u64 = s
@@ -330,7 +322,7 @@ mod tests {
             .iter()
             .map(|m| m.values().map(|r| r.received as u64).sum::<u64>())
             .sum();
-        let st = s.finalize();
+        let st = s.finish();
         // Measured flits still travelling are a subset of everything inside.
         assert!(
             st.injected_flits - st.ejected_flits <= inflight + reasm,

@@ -2,7 +2,6 @@
 //! correctness, and the MinBD-vs-CHIPPER ordering the paper relies on.
 
 use noc_baselines::{DeflectionKind, DeflectionSim};
-use noc_sim::network::NocModel;
 use noc_traffic::{SyntheticWorkload, TrafficPattern};
 use noc_types::NetConfig;
 
@@ -20,7 +19,7 @@ fn deflection_is_livelock_free_past_saturation() {
         let mut s = sim(kind, 4, 0.40, 3);
         let mut last = 0;
         for block in 1..=10 {
-            s.run_for(3_000);
+            s.run(3_000);
             let now = s.stats.ejected_packets_all;
             assert!(
                 now > last,
@@ -36,8 +35,8 @@ fn deflection_is_livelock_free_past_saturation() {
 #[test]
 fn reassembly_delivers_every_packet_exactly_once() {
     let mut s = sim(DeflectionKind::Chipper, 4, 0.05, 9);
-    s.run_for(30_000);
-    let st = s.finalize();
+    s.run(30_000);
+    let st = s.finish();
     assert!(st.injected_packets > 500);
     // At 5% load the pipe drains: essentially everything injected arrives.
     assert!(
@@ -56,11 +55,11 @@ fn reassembly_delivers_every_packet_exactly_once() {
 #[test]
 fn minbd_throughput_beats_chipper_under_heavy_load() {
     let mut a = sim(DeflectionKind::Chipper, 4, 0.35, 5);
-    a.run_for(30_000);
-    let ca = a.finalize();
+    a.run(30_000);
+    let ca = a.finish();
     let mut b = sim(DeflectionKind::MinBd, 4, 0.35, 5);
-    b.run_for(30_000);
-    let cb = b.finalize();
+    b.run(30_000);
+    let cb = b.finish();
     assert!(
         cb.throughput(16) >= 0.95 * ca.throughput(16),
         "MinBD {:.4} vs CHIPPER {:.4}",
@@ -74,8 +73,8 @@ fn minbd_throughput_beats_chipper_under_heavy_load() {
 #[test]
 fn deflections_inflate_hop_counts() {
     let mut s = sim(DeflectionKind::Chipper, 4, 0.25, 7);
-    s.run_for(20_000);
-    let st = s.finalize();
+    s.run(20_000);
+    let st = s.finish();
     // 4x4 uniform random minimal average ≈ 2.67.
     assert!(
         st.avg_hops() > 2.8,
@@ -91,8 +90,8 @@ fn deflections_inflate_hop_counts() {
 fn deflection_is_deterministic() {
     let go = |seed| {
         let mut s = sim(DeflectionKind::MinBd, 4, 0.20, seed);
-        s.run_for(10_000);
-        let st = s.finalize();
+        s.run(10_000);
+        let st = s.finish();
         (st.ejected_packets, st.misroute_hops, st.link_flit_hops)
     };
     assert_eq!(go(11), go(11));

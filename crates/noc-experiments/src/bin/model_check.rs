@@ -11,56 +11,72 @@
 //! Exit status is nonzero on any expectation mismatch or differential
 //! disagreement, so CI can gate on it directly.
 
+use noc_experiments::cli;
 use noc_model::{check, ModelConfig, Scheme, Verdict};
 
-fn value_of(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+const NAME: &str = "model_check";
+
+const ACCEPTED: [&str; 8] = [
+    "--differential",
+    "--scheme NAME",
+    "--mesh CxR",
+    "--vcs N",
+    "--inflight N",
+    "--trace",
+    "--no-symmetry",
+    "--threads N",
+];
 
 fn main() {
-    let args = noc_experiments::cli::args();
-    let symmetry = !args.iter().any(|a| a == "--no-symmetry");
-    let want_trace = args.iter().any(|a| a == "--trace");
+    let given = cli::flags(NAME, cli::args(), &ACCEPTED);
+    let refuse = |why: &str| -> ! { cli::refuse(NAME, &ACCEPTED, why) };
+    let count = |flag: &str, v: &str| -> u8 {
+        v.parse()
+            .ok()
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| refuse(&format!("bad value for {flag}: '{v}'")))
+    };
+    let symmetry = !given.contains_key("--no-symmetry");
+    let want_trace = given.contains_key("--trace");
 
-    if args.iter().any(|a| a == "--differential") {
+    if given.contains_key("--differential") {
         std::process::exit(run_differential());
     }
 
-    if let Some(name) = value_of(&args, "--scheme") {
-        let Some(scheme) = Scheme::parse(&name) else {
-            eprintln!("unknown scheme: {name}");
-            std::process::exit(2);
+    let Some(name) = given.get("--scheme") else {
+        if let Some(flag) = ["--mesh", "--vcs", "--inflight"]
+            .into_iter()
+            .find(|f| given.contains_key(*f))
+        {
+            refuse(&format!("{flag} applies only with --scheme"));
+        }
+        std::process::exit(run_matrix(symmetry, want_trace));
+    };
+    let Some(scheme) = Scheme::parse(name) else {
+        refuse(&format!("unknown scheme: {name}"));
+    };
+    let mut cfg = ModelConfig::small(scheme);
+    cfg.symmetry = symmetry;
+    if let Some(mesh) = given.get("--mesh") {
+        let Some((c, r)) = mesh.split_once('x') else {
+            refuse(&format!("--mesh takes CxR, e.g. 3x3, not '{mesh}'"));
         };
-        let mut cfg = ModelConfig::small(scheme);
-        cfg.symmetry = symmetry;
-        if let Some(mesh) = value_of(&args, "--mesh") {
-            let Some((c, r)) = mesh.split_once('x') else {
-                eprintln!("--mesh takes CxR, e.g. 3x3");
-                std::process::exit(2);
-            };
-            cfg.cols = c.parse().unwrap_or(2);
-            cfg.rows = r.parse().unwrap_or(2);
-        }
-        if let Some(v) = value_of(&args, "--vcs") {
-            cfg.vcs = v.parse().unwrap_or(cfg.vcs);
-        }
-        if let Some(p) = value_of(&args, "--inflight") {
-            cfg.max_inflight = p.parse().unwrap_or(cfg.max_inflight);
-        }
-        let r = check(&cfg);
-        println!("{}", r.summary());
-        if want_trace {
-            if let Verdict::DeadlockReachable { trace } = &r.verdict {
-                println!("witness trace:\n{}", trace.render());
-            }
-        }
-        return;
+        cfg.cols = count("--mesh", c);
+        cfg.rows = count("--mesh", r);
     }
-
-    std::process::exit(run_matrix(symmetry, want_trace));
+    if let Some(v) = given.get("--vcs") {
+        cfg.vcs = count("--vcs", v);
+    }
+    if let Some(p) = given.get("--inflight") {
+        cfg.max_inflight = count("--inflight", p);
+    }
+    let r = check(&cfg);
+    println!("{}", r.summary());
+    if want_trace {
+        if let Verdict::DeadlockReachable { trace } = &r.verdict {
+            println!("witness trace:\n{}", trace.render());
+        }
+    }
 }
 
 /// Every scheme in the matrix against its expected small-mesh verdict.

@@ -5,7 +5,6 @@ use noc_baselines::{
     TfcMechanism,
 };
 use noc_protocol::{ProtocolConfig, ProtocolWorkload};
-use noc_sim::network::NocModel;
 use noc_sim::{Mechanism, NoMechanism, Sim, Stats};
 use noc_traffic::apps::AppProfile;
 use noc_traffic::{SyntheticWorkload, TrafficPattern};
@@ -363,19 +362,21 @@ pub fn run_synth(spec: SynthSpec) -> Stats {
         cfg.warmup,
         spec.seed,
     );
-    let mut model: Box<dyn NocModel> = if spec.scheme.is_deflection() {
+    if spec.scheme.is_deflection() {
         let kind = if spec.scheme == Scheme::MinBd {
             DeflectionKind::MinBd
         } else {
             DeflectionKind::Chipper
         };
-        Box::new(DeflectionSim::new(cfg, kind, Box::new(wl)))
+        let mut sim = DeflectionSim::new(cfg, kind, Box::new(wl));
+        sim.run(spec.cycles);
+        sim.finish()
     } else {
         let mech = spec.scheme.mechanism(&cfg);
-        Box::new(Sim::new(cfg, Box::new(wl), mech))
-    };
-    model.run_for(spec.cycles);
-    model.finalize()
+        let mut sim = Sim::new(cfg, Box::new(wl), mech);
+        sim.run(spec.cycles);
+        sim.finish().clone()
+    }
 }
 
 /// One application (closed-loop protocol) design point.

@@ -54,8 +54,7 @@ fn sorted_rows(ckpt: &Checkpoint) -> Vec<String> {
 #[test]
 fn batched_sweep_rows_match_scalar_sweep_byte_for_byte() {
     // Mixed schemes, rates, seeds and fault scenarios — the batch the
-    // runner actually produces, including non-quiescent mechanisms (SEEC)
-    // on which lockstep lanes run but idle skipping stands down.
+    // runner actually produces, mechanisms (SEEC, mSEEC) included.
     let points = vec![
         point(Scheme::Xy, 0.05, 0.0, 1),
         point(Scheme::WestFirst, 0.08, 0.0, 2),

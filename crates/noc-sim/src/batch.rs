@@ -10,15 +10,9 @@
 //! the cache in a regular pattern, instead of each run paying the full
 //! skeleton cost in isolation.
 //!
-//! Batched lanes run with idle-cycle skipping enabled (see
-//! [`Sim::skip_target`]): whenever a lane is provably inert its clock jumps
-//! to its next event horizon, and the batch's shared clock — the minimum
-//! over the lanes — drags the busy lanes forward at full rate while quiet
-//! lanes wait at their horizon for free. Each lane still executes *exactly*
-//! the cycle/skip sequence the scalar `Sim::run` would under the same flag,
-//! so batched results are byte-identical to scalar runs (the
-//! `idle_skip_invisible` property test covers the skip-on/off side, the
-//! `batch_differential` test in `noc-experiments` the batched/scalar side).
+//! Each lane still executes *exactly* the cycle sequence the scalar
+//! `Sim::run` would, so batched results are byte-identical to scalar runs
+//! (the `batch_differential` test in `noc-experiments` checks this).
 //!
 //! What may be batched together is governed by [`ShapeKey`]: the structural
 //! fields of [`NetConfig`] that determine array sizes and per-cycle phase
@@ -79,23 +73,18 @@ pub struct LockstepBatch {
 }
 
 impl LockstepBatch {
-    /// Wraps `lanes` into a batch and enables idle-cycle skipping on every
-    /// lane (the batched executor's default; proven invisible by the
-    /// skip-invariance property test).
+    /// Wraps `lanes` into a batch.
     ///
     /// # Panics
     /// Panics when `lanes` is empty or the lanes' configurations disagree
     /// on [`ShapeKey`] — mixing shapes would defeat the shared skeleton and
     /// is always a caller bug.
-    pub fn new(mut lanes: Vec<Sim>) -> LockstepBatch {
+    pub fn new(lanes: Vec<Sim>) -> LockstepBatch {
         assert!(!lanes.is_empty(), "a batch needs at least one lane");
         let key = ShapeKey::of(&lanes[0].net.cfg);
         for (i, lane) in lanes.iter().enumerate() {
             let k = ShapeKey::of(&lane.net.cfg);
             assert_eq!(k, key, "lane {i} shape {k:?} incompatible with {key:?}");
-        }
-        for lane in &mut lanes {
-            lane.idle_skip = true;
         }
         LockstepBatch { lanes, key }
     }
@@ -126,14 +115,10 @@ impl LockstepBatch {
     /// Runs every lane for `cycles` cycles (from each lane's own current
     /// cycle), in lockstep on a shared clock.
     ///
-    /// Each round advances exactly the lanes sitting at the batch's
-    /// earliest in-progress cycle: a lane first gets its skip chance, then
-    /// steps if the skip did not move it. Per lane this reproduces the
-    /// scalar `Sim::run` sequence verbatim — the interleaving *between*
-    /// lanes is the only thing lockstep changes, and lanes share no state.
-    /// Skipped lanes park at their jump target until the shared clock
-    /// catches up, which costs nothing: parked lanes are filtered by a
-    /// cycle compare, not stepped.
+    /// Each round steps exactly the lanes sitting at the batch's earliest
+    /// in-progress cycle. Per lane this reproduces the scalar `Sim::run`
+    /// sequence verbatim — the interleaving *between* lanes is the only
+    /// thing lockstep changes, and lanes share no state.
     pub fn run(&mut self, cycles: u64) {
         let ends: Vec<Cycle> = self.lanes.iter().map(|l| l.net.cycle + cycles).collect();
         loop {
@@ -148,11 +133,7 @@ impl LockstepBatch {
                 break;
             };
             for (lane, &end) in self.lanes.iter_mut().zip(&ends) {
-                if lane.net.cycle != now || now >= end {
-                    continue;
-                }
-                lane.maybe_skip(end);
-                if lane.net.cycle == now {
+                if lane.net.cycle == now && now < end {
                     lane.step();
                 }
             }
@@ -209,27 +190,13 @@ mod tests {
                 (sim.net.state_digest(), format!("{:?}", sim.net.stats))
             })
             .collect();
-        // Batched: same lanes, lockstep with idle skipping.
+        // Batched: same lanes, lockstep.
         let mut batch = LockstepBatch::new(seeds.iter().map(|&s| busy_sim(s)).collect());
         batch.run(500);
         for (lane, want) in batch.lanes().iter().zip(&scalar) {
             assert_eq!(lane.net.cycle, 500);
             assert_eq!(lane.net.state_digest(), want.0, "state diverged");
             assert_eq!(format!("{:?}", lane.net.stats), want.1, "stats diverged");
-        }
-    }
-
-    #[test]
-    fn idle_lanes_fast_forward() {
-        // An idle workload with nothing queued is skippable from cycle 0:
-        // the batch must cover a huge horizon without stepping through it.
-        let mut batch = LockstepBatch::new(vec![busy_sim(1), {
-            let cfg = NetConfig::synth(4, 2);
-            Sim::new(cfg, Box::new(IdleWorkload), Box::new(NoMechanism))
-        }]);
-        batch.run(5_000_000);
-        for lane in batch.lanes() {
-            assert_eq!(lane.net.cycle, 5_000_000);
         }
     }
 

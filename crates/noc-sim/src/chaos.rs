@@ -49,7 +49,7 @@
 
 use crate::fault::{DeadSet, RouteMask};
 use crate::network::Network;
-use noc_types::{Cycle, Direction, Epoch, FaultAction, NodeId};
+use noc_types::{Direction, Epoch, FaultAction, NodeId};
 
 /// A kill whose wiring cut is still waiting for the link to drain.
 #[derive(Clone, Copy, Debug)]
@@ -102,24 +102,6 @@ impl ChaosState {
     /// Events applied so far.
     pub fn events_applied(&self) -> usize {
         self.next_event
-    }
-
-    /// Idle-cycle skipping horizon. `None` while per-cycle chaos work is
-    /// live — a pending drain-cut advancing toward quiesce, or the stranded
-    /// purge running during a partition — because those act every cycle and
-    /// must not be jumped over. Otherwise the cycle of the next unapplied
-    /// schedule event (`tick` fires events only once `e.at <= now`, so a
-    /// clock jump that stops *at* that cycle applies it exactly on time),
-    /// or `Cycle::MAX` once the schedule is fully applied.
-    pub fn quiet_until(&self) -> Option<Cycle> {
-        if !self.pending.is_empty() || self.scan_stranded {
-            return None;
-        }
-        Some(
-            self.epochs
-                .get(self.next_event)
-                .map_or(Cycle::MAX, |e| e.event.at),
-        )
     }
 }
 

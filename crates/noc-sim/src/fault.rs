@@ -683,16 +683,6 @@ impl Retrans {
                 .is_empty()
     }
 
-    /// Idle-cycle skipping input: `true` when a retransmission `tick` is a
-    /// guaranteed no-op — every send window empty (no timeout can fire, no
-    /// RNG re-roll pending), no wire event in flight, and no accepted flit
-    /// awaiting pickup by the engine's delivery phase.
-    pub fn is_idle(&self) -> bool {
-        self.tx.iter().all(|t| t.unacked.is_empty())
-            && self.wire.iter().all(Inbox::is_empty)
-            && self.accepted.iter().all(Vec::is_empty)
-    }
-
     /// Resets both directed halves of the physical link `(node, d)` to a
     /// fresh sequence space and bumps their generation, invalidating every
     /// wire event still in flight from before the reset. Called on link heal
@@ -832,22 +822,6 @@ impl FaultLayer {
             retrans,
             chaos,
         }))
-    }
-
-    /// Idle-cycle skipping horizon for the whole fault layer. `None` while
-    /// the retransmission protocol holds any live state (windows, wire
-    /// events, accepted flits) — its tick then does real work every cycle.
-    /// Otherwise the chaos schedule's quiet horizon, or `Cycle::MAX` when
-    /// no dynamic schedule exists (a static dead set never acts on its
-    /// own).
-    pub fn quiet_until(&self) -> Option<Cycle> {
-        if self.retrans.as_ref().is_some_and(|r| !r.is_idle()) {
-            return None;
-        }
-        match &self.chaos {
-            Some(c) => c.quiet_until(),
-            None => Some(Cycle::MAX),
-        }
     }
 }
 

@@ -138,22 +138,6 @@ impl<T> Inbox<T> {
         }
     }
 
-    /// The earliest arrival cycle among the buffered entries, or `None`
-    /// when the wheel is empty. Idle-cycle skipping uses this as a jump
-    /// horizon: a quiescent engine may fast-forward its clock to (never
-    /// past) the minimum `next_due` over all wheels, because no bucket
-    /// holds anything due on the skipped cycles. O(capacity) scan — only
-    /// called when the engine is otherwise quiet.
-    pub fn next_due(&self) -> Option<Cycle> {
-        if self.len == 0 {
-            return None;
-        }
-        self.slots
-            .iter()
-            .flat_map(|b| b.iter().map(|&(c, _)| c))
-            .min()
-    }
-
     /// Iterates all buffered entries as `(arrival, &payload)`. Order across
     /// cycles is unspecified; within one cycle it is push order.
     pub fn iter(&self) -> impl Iterator<Item = (Cycle, &T)> {

@@ -41,7 +41,7 @@ pub use chaos::ChaosState;
 pub use fault::{DeadSet, FaultLayer, RouteMask, Unroutable};
 pub use inbox::Inbox;
 pub use mechanism::{Mechanism, NoMechanism};
-pub use network::{Network, NocModel, Sim, HOP_LATENCY, LOCAL_LATENCY};
+pub use network::{Network, Sim, HOP_LATENCY, LOCAL_LATENCY};
 pub use nic::{EjReserve, EjVc, Nic};
 pub use recovery::RecoveryState;
 pub use reorder::ReorderBuffer;

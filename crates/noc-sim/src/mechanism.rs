@@ -29,18 +29,6 @@ pub trait Mechanism {
         let _ = net;
     }
 
-    /// Idle-cycle skipping input: `true` when `pre_cycle` and `post_cycle`
-    /// are guaranteed no-ops — no state mutation, no RNG draws — for as
-    /// long as the network itself stays quiet (no buffered flits, no
-    /// in-flight traffic, no pending reservations). The engine only skips
-    /// cycles when every layer reports quiescence, and a skipped cycle runs
-    /// *nothing*, so answering `true` while holding a live timer or probe
-    /// breaks byte-for-byte determinism. The default is the safe `false`,
-    /// which pins the engine to stepping every cycle.
-    fn quiescent(&self) -> bool {
-        false
-    }
-
     /// Called by the runtime recovery layer immediately after it has drained
     /// `victim` out of its VC into the recovery channel. The packet no longer
     /// exists anywhere in router buffers; any mechanism state that names it —
@@ -68,9 +56,5 @@ pub struct NoMechanism;
 impl Mechanism for NoMechanism {
     fn kind(&self) -> SchemeKind {
         SchemeKind::None
-    }
-
-    fn quiescent(&self) -> bool {
-        true
     }
 }

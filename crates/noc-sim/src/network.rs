@@ -935,18 +935,9 @@ pub struct Sim {
     pub net: Network,
     pub mech: Box<dyn Mechanism>,
     pub workload: Box<dyn Workload>,
-    /// Idle-cycle skipping: when set, `run` / `run_until_done` fast-forward
-    /// the clock across cycles on which every layer is provably inert (see
-    /// [`Sim::skip_target`]) instead of stepping through them. Off by
-    /// default — the scalar engine then executes the exact historical cycle
-    /// loop. Skipping is observationally invisible (same stats, same RNG
-    /// stream, same final state); the flag exists so the default path stays
-    /// trivially auditable and the property tests have both sides to
-    /// compare.
-    pub idle_skip: bool,
-    /// Cycles the clock jumped over instead of stepping (diagnostic only —
-    /// not part of the simulation state or any digest). Always zero with
-    /// `idle_skip` off.
+    /// Always 0: the engine steps every cycle. Kept only because bench11's
+    /// `noc-sim.skipped_cycles` probe reads it, and that benchmark changes
+    /// only on its own; the field goes when the probe is dropped.
     pub skipped_cycles: u64,
 }
 
@@ -958,16 +949,8 @@ impl Sim {
             net,
             mech,
             workload,
-            idle_skip: false,
             skipped_cycles: 0,
         }
-    }
-
-    /// Builder-style toggle for [`Sim::idle_skip`].
-    #[must_use]
-    pub fn with_idle_skip(mut self, on: bool) -> Sim {
-        self.idle_skip = on;
-        self
     }
 
     /// Advances the simulation by one cycle (all eight phases).
@@ -1010,132 +993,19 @@ impl Sim {
         net.cycle += 1;
     }
 
-    /// The furthest cycle the clock may jump to right now without changing
-    /// any observable behaviour, at most `end`. Returns the current cycle
-    /// when skipping is unsound — some layer does (or may do) real work on
-    /// the very next cycle.
-    ///
-    /// A cycle is skippable iff `step` at that cycle would be a pure
-    /// `cycle += 1`: no flit moves, no queue drains, no timer fires, no RNG
-    /// byte is drawn. That requires *all* of:
-    ///
-    /// * a quiescent mechanism (its pre/post hooks are no-ops on a quiet
-    ///   network — [`Mechanism::quiescent`]),
-    /// * an idle recovery layer (no drain in progress, empty outstanding
-    ///   table) and an idle fault layer (no retransmission state; chaos
-    ///   bounded by its next schedule event),
-    /// * a fully drained network: zero buffered flits, no reservations, and
-    ///   every NIC with an empty injection queue, no half-injected packet
-    ///   and empty ejection VCs (the compute/consume phases are then
-    ///   guaranteed no-ops),
-    /// * in-flight flits only as far as their wheel horizon: the jump stops
-    ///   at the earliest `next_due` over all inboxes,
-    /// * the workload quiet until its own declared horizon
-    ///   ([`Workload::next_activity`]; the conservative default pins the
-    ///   clock), and
-    /// * not crossing the warmup boundary, where measurement resets.
-    pub(crate) fn skip_target(&self, end: Cycle) -> Cycle {
-        let net = &self.net;
-        let now = net.cycle;
-        // The target is a min over horizons with vetoes contributing `now`,
-        // so evaluation order is free to put the cheap, commonly-pinning
-        // checks first — this runs on every cycle skipping fails, and that
-        // overhead is what the batched bench pays during busy windows.
-        let mut target = end;
-        if let Some(c) = self.workload.next_activity(now) {
-            if c <= now {
-                return now;
-            }
-            target = target.min(c);
-        }
-        // Layers that may act every cycle veto skipping outright.
-        if !self.mech.quiescent() {
-            return now;
-        }
-        if net.recovery.as_ref().is_some_and(|r| !r.is_idle()) {
-            return now;
-        }
-        if net.credits.total_buffered() != 0 || !net.reservations.is_empty() {
-            return now;
-        }
-        if net.nics.iter().any(|nic| {
-            nic.backlog() != 0
-                || nic.inj_active.is_some()
-                || nic.ejection.iter().any(|e| !e.buf.is_empty())
-        }) {
-            return now;
-        }
-        if let Some(fl) = &net.fault {
-            match fl.quiet_until() {
-                None => return now,
-                Some(c) => target = target.min(c),
-            }
-        }
-        for ib in &net.inbox_router {
-            if let Some(c) = ib.next_due() {
-                target = target.min(c);
-            }
-        }
-        for ib in &net.inbox_nic {
-            if let Some(c) = ib.next_due() {
-                target = target.min(c);
-            }
-        }
-        if now < net.cfg.warmup {
-            target = target.min(net.cfg.warmup);
-        }
-        // Horizons are contracts (`>= now`); clamp so a buggy implementor
-        // can only lose the optimization, never rewind the clock.
-        target.max(now)
-    }
-
-    /// Fast-forwards the clock to [`Sim::skip_target`] when idle skipping
-    /// is enabled. `last_progress` is deliberately untouched: skipped
-    /// cycles are idle by proof, exactly as if they had been stepped.
-    pub(crate) fn maybe_skip(&mut self, end: Cycle) {
-        if !self.idle_skip {
-            return;
-        }
-        let target = self.skip_target(end);
-        if target > self.net.cycle {
-            // Fold the derived credit caches forward before jumping. On the
-            // skipped cycles a stepping run would refresh each stale credit
-            // lane exactly once and then find nothing further to do (the network is inert by proof); one refresh
-            // here reproduces that fixpoint, so snapshots and state digests
-            // taken right after the jump match the stepped run bit for bit.
-            self.net.refresh_downfree();
-            self.skipped_cycles += target - self.net.cycle;
-            self.net.cycle = target;
-        }
-    }
-
     /// Runs for `cycles` cycles.
     pub fn run(&mut self, cycles: u64) {
-        let end = self.net.cycle + cycles;
-        while self.net.cycle < end {
-            self.maybe_skip(end);
-            if self.net.cycle >= end {
-                break;
-            }
+        for _ in 0..cycles {
             self.step();
         }
     }
 
     /// Runs until the workload reports completion or `max_cycles` elapse.
     /// Returns `true` if the workload finished.
-    ///
-    /// With idle skipping enabled, jumped cycles cannot flip `finished`:
-    /// the workload's state is untouched on cycles its own `next_activity`
-    /// horizon declared inert, so the answer is constant across the jump.
     pub fn run_until_done(&mut self, max_cycles: u64) -> bool {
-        let end = self.net.cycle + max_cycles;
-        while self.net.cycle < end {
+        for _ in 0..max_cycles {
             if self.workload.finished() == Some(true) {
                 return true;
-            }
-            self.maybe_skip(end);
-            if self.net.cycle >= end {
-                break;
             }
             self.step();
         }
@@ -1147,51 +1017,6 @@ impl Sim {
         let c = self.net.cycle;
         self.net.stats.finish(c);
         &self.net.stats
-    }
-}
-
-/// Uniform driver interface over network models (the VC-router [`Sim`] and
-/// the deflection networks in `noc-baselines`), used by the experiment
-/// harness.
-pub trait NocModel {
-    /// Advances one cycle.
-    fn tick(&mut self);
-    /// Current cycle.
-    fn now(&self) -> Cycle;
-    /// Statistics so far.
-    fn stats(&self) -> &Stats;
-    /// Finalizes and returns statistics.
-    fn finalize(&mut self) -> Stats;
-
-    /// Runs for `cycles` cycles.
-    fn run_for(&mut self, cycles: u64) {
-        for _ in 0..cycles {
-            self.tick();
-        }
-    }
-}
-
-impl NocModel for Sim {
-    fn tick(&mut self) {
-        self.step();
-    }
-
-    fn run_for(&mut self, cycles: u64) {
-        // Route through `run` so idle-cycle skipping applies to
-        // harness-driven slices too (a no-op when `idle_skip` is off).
-        self.run(cycles);
-    }
-
-    fn now(&self) -> Cycle {
-        self.net.cycle
-    }
-
-    fn stats(&self) -> &Stats {
-        &self.net.stats
-    }
-
-    fn finalize(&mut self) -> Stats {
-        self.finish().clone()
     }
 }
 

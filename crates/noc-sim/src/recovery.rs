@@ -124,16 +124,6 @@ impl RecoveryState {
     /// Called by injection when the source NIC finishes streaming a packet:
     /// the end-to-end layer starts its delivery timer. Retry copies are not
     /// re-registered — their deadline was set when they were scheduled.
-    /// Idle-cycle skipping input: `true` when a recovery `step` is a
-    /// guaranteed no-op on a quiet network — no drain in progress and an
-    /// empty outstanding table (the periodic end-to-end scan over an empty
-    /// table does nothing, so jumping across scan boundaries is invisible;
-    /// `start_drain` cannot fire because `looks_stuck` is `false` for an
-    /// empty network).
-    pub fn is_idle(&self) -> bool {
-        self.drain.is_none() && self.outstanding.is_empty()
-    }
-
     pub fn register_sent(&mut self, pkt: &Packet, now: Cycle) {
         if self.cfg.e2e_timeout == 0 || is_retry(pkt.id) {
             return;

@@ -141,7 +141,7 @@ impl CreditSoA {
         self.occupancy[s..s + NUM_PORTS].iter().any(|&o| o != 0)
     }
 
-    /// Total flits buffered across every router (idle-skip quiescence).
+    /// Total flits buffered across every router.
     pub fn total_buffered(&self) -> u64 {
         self.occupancy.iter().map(|&o| u64::from(o)).sum()
     }

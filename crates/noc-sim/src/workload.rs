@@ -72,20 +72,6 @@ pub trait Workload {
     fn finished(&self) -> Option<bool> {
         None
     }
-
-    /// Idle-cycle skipping input: the earliest cycle at or after `now` at
-    /// which `generate` may do *anything* — inject a packet or merely
-    /// consume RNG. The engine only fast-forwards a quiescent network up to
-    /// (never past) this horizon, so a workload is skip-safe exactly when
-    /// its `generate` is a guaranteed no-op on every skipped cycle.
-    ///
-    /// The conservative default declares activity every cycle, which
-    /// disables skipping entirely (correct for Bernoulli-style workloads
-    /// that draw RNG per node per cycle). `None` means "never again"
-    /// (pure sinks), letting the clock jump freely.
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        Some(now)
-    }
 }
 
 /// The trivial workload: nothing injected, everything consumed. Useful for
@@ -95,10 +81,6 @@ pub struct IdleWorkload;
 
 impl Workload for IdleWorkload {
     fn generate(&mut self, _cycle: Cycle, _inject: &mut dyn FnMut(NodeId, Packet)) {}
-
-    fn next_activity(&self, _now: Cycle) -> Option<Cycle> {
-        None
-    }
 }
 
 #[cfg(test)]

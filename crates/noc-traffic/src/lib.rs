@@ -10,10 +10,8 @@
 #![forbid(unsafe_code)]
 
 pub mod apps;
-pub mod burst;
 pub mod pattern;
 pub mod synth;
 
-pub use burst::BurstWorkload;
 pub use pattern::TrafficPattern;
 pub use synth::{PacketMix, SyntheticWorkload};

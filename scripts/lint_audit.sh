@@ -159,6 +159,26 @@ for f in crates/noc-experiments/src/figs/*.rs; do
     fi
 done
 
+# 8. No idle-cycle skipping. The engine steps every cycle: no workload the
+#    repository runs ever declared an idle horizon, so the skipper, its
+#    per-layer horizon hooks, the one workload that fed it and the model
+#    trait that routed slices through it stay gone from production code.
+#    `Sim::skipped_cycles` (always 0, read only by bench11's probe) lives
+#    in the engine alone.
+skip_names='\b(idle_skip|with_idle_skip|skip_target|maybe_skip|next_activity|quiet_until|next_due|BurstWorkload|NocModel)\b|\bfn quiescent\b'
+back=$(prod_files | while read -r f; do
+    prod_code "$f" | grep -qE "$skip_names" && echo "$f"
+done)
+if [ -n "$back" ]; then
+    complain "idle-cycle skipping is back in [$(echo $back)]"
+fi
+stray=$(prod_files | grep -v '^crates/noc-sim/src/network.rs$' | while read -r f; do
+    prod_code "$f" | grep -qw 'skipped_cycles' && echo "$f"
+done)
+if [ -n "$stray" ]; then
+    complain "'skipped_cycles' must appear only in crates/noc-sim/src/network.rs, found in [$(echo $stray)]"
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "lint-audit: FAILED" >&2
     exit 1
