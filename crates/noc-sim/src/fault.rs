@@ -468,11 +468,11 @@ pub struct Retrans {
     wire: Vec<Inbox<Wire>>,
     /// Flits accepted this cycle, per node, drained by the engine's
     /// delivery phase.
-    accepted: Vec<Vec<(PortId, Flit)>>,
+    accepted: Vec<Vec<(Cycle, (PortId, Flit))>>,
     /// Geometric neighbour table (dead links never carry sends, so the
     /// pre-fault wiring is sufficient).
     nbr: Vec<[Option<u16>; 4]>,
-    scratch: Vec<Wire>,
+    scratch: Vec<(Cycle, Wire)>,
 }
 
 impl Retrans {
@@ -550,9 +550,8 @@ impl Retrans {
         let n = self.wire.len();
         let mut ev = std::mem::take(&mut self.scratch);
         for i in 0..n {
-            ev.clear();
             self.wire[i].drain_due_into(now, &mut ev);
-            for &e in &ev {
+            for &(_, e) in &ev {
                 self.handle(now, i, e, stats);
             }
         }
@@ -597,7 +596,7 @@ impl Retrans {
                 if good && seq == rx.next_expected {
                     rx.next_expected += 1;
                     rx.nacked = None;
-                    self.accepted[node].push((p, flit));
+                    self.accepted[node].push((now, (p, flit)));
                     stats.link_acks += 1;
                     self.wire[sender].push(now + 1, Wire::Ack { out_dir, gen, seq });
                 } else if seq >= rx.next_expected {
@@ -707,9 +706,9 @@ impl Retrans {
         }
     }
 
-    /// Moves the flits accepted at `node` this cycle into `out` (in
-    /// per-link sequence order; deterministic).
-    pub fn drain_accepted_into(&mut self, node: usize, out: &mut Vec<(PortId, Flit)>) {
+    /// Appends the flits accepted at `node` this cycle, stamped with the
+    /// cycle, to `out` (in per-link sequence order; deterministic).
+    pub fn drain_accepted_into(&mut self, node: usize, out: &mut Vec<(Cycle, (PortId, Flit))>) {
         out.append(&mut self.accepted[node]);
     }
 

@@ -9,11 +9,13 @@
 //! * `push` is O(1); the wheel grows (power-of-two capacity) whenever an
 //!   arrival lands beyond the current horizon, so any `cycle + latency` is
 //!   accepted.
-//! * `drain_due_into` empties exactly the bucket for the current cycle, in
-//!   **push order** — FIFO within a cycle is a documented guarantee (see
-//!   `fifo_within_cycle` below and the engine's delivery phase), where the
-//!   old `swap_remove` compaction could reorder same-cycle flits.
-//! * Buckets are reused `Vec`s, so steady-state operation allocates nothing.
+//! * `drain_due_into` swaps out exactly the bucket for the current cycle
+//!   in O(1), in **push order** — FIFO within a cycle is a documented
+//!   guarantee (see `fifo_within_cycle` below and the engine's delivery
+//!   phase), where the old `swap_remove` compaction could reorder
+//!   same-cycle flits.
+//! * Buckets and the caller's drain buffer trade `Vec`s, so steady-state
+//!   operation allocates nothing.
 //!
 //! Invariant: every entry's arrival cycle is `>= base` (the next cycle to
 //! be drained) and `< base + capacity`, so a bucket only ever holds entries
@@ -98,19 +100,21 @@ impl<T> Inbox<T> {
         }
     }
 
-    /// Moves every entry due at `now` into `out`, preserving push order, and
-    /// advances the wheel. Must be called with non-decreasing `now` (the
-    /// engine drains every cycle).
-    pub fn drain_due_into(&mut self, now: Cycle, out: &mut Vec<T>) {
+    /// Replaces `out`'s contents with every entry due at `now`, in push
+    /// order, and advances the wheel. O(1): the due bucket and the cleared
+    /// `out` swap buffers, so both keep their capacity. Must be called with
+    /// non-decreasing `now` (the engine drains every cycle).
+    pub fn drain_due_into(&mut self, now: Cycle, out: &mut Vec<(Cycle, T)>) {
         debug_assert!(now >= self.base.saturating_sub(1) || self.len == 0);
         self.base = now + 1;
         let s = self.slot_of(now);
-        let bucket = &mut self.slots[s];
-        self.len -= bucket.len();
-        for (c, item) in bucket.drain(..) {
-            debug_assert_eq!(c, now, "stale entry in wheel bucket");
-            out.push(item);
-        }
+        out.clear();
+        std::mem::swap(&mut self.slots[s], out);
+        self.len -= out.len();
+        debug_assert!(
+            out.iter().all(|&(c, _)| c == now),
+            "stale entry in wheel bucket"
+        );
     }
 
     /// Visits every entry due exactly at `at` (a future cycle); entries for
@@ -151,6 +155,14 @@ impl<T> Inbox<T> {
 mod tests {
     use super::*;
 
+    /// Drains `now` and appends the due payloads to `out`, so a test can
+    /// collect a whole schedule in delivery order.
+    pub(super) fn drain<T>(w: &mut Inbox<T>, now: Cycle, out: &mut Vec<T>) {
+        let mut due = Vec::new();
+        w.drain_due_into(now, &mut due);
+        out.extend(due.into_iter().map(|(_, item)| item));
+    }
+
     #[test]
     fn delivers_at_exact_cycles() {
         let mut w: Inbox<u32> = Inbox::new();
@@ -159,7 +171,7 @@ mod tests {
         w.push(2, 20);
         let mut out = Vec::new();
         for now in 0..=3 {
-            w.drain_due_into(now, &mut out);
+            drain(&mut w, now, &mut out);
         }
         assert_eq!(out, vec![10, 20, 30]);
         assert!(w.is_empty());
@@ -175,7 +187,7 @@ mod tests {
         }
         let mut out = Vec::new();
         for now in 0..=5 {
-            w.drain_due_into(now, &mut out);
+            drain(&mut w, now, &mut out);
         }
         assert_eq!(out, (0..10).collect::<Vec<_>>());
     }
@@ -189,7 +201,7 @@ mod tests {
         assert_eq!(w.len(), 3);
         let mut out = Vec::new();
         for now in 0..=100 {
-            w.drain_due_into(now, &mut out);
+            drain(&mut w, now, &mut out);
         }
         assert_eq!(out, vec![2, 7, 100]);
     }
@@ -203,7 +215,7 @@ mod tests {
         w.push(200, 999); // forces growth and re-bucketing
         let mut out = Vec::new();
         for now in 0..=6 {
-            w.drain_due_into(now, &mut out);
+            drain(&mut w, now, &mut out);
         }
         assert_eq!(out, vec![0, 1, 2, 3]);
     }
@@ -218,7 +230,7 @@ mod tests {
         let mut at2 = Vec::new();
         let mut out = Vec::new();
         for now in 0..=4 {
-            w.drain_due_into(now, &mut out);
+            drain(&mut w, now, &mut out);
             if now == 2 {
                 at2 = out.clone();
             }
@@ -234,7 +246,7 @@ mod tests {
         let mut out = Vec::new();
         for now in 0..1000u64 {
             w.push(now + 2, now);
-            w.drain_due_into(now, &mut out);
+            drain(&mut w, now, &mut out);
         }
         assert_eq!(out.len(), 998);
         assert_eq!(w.len(), 2);
@@ -249,6 +261,7 @@ mod tests {
 /// many times over.
 #[cfg(test)]
 mod proptests {
+    use super::tests::drain;
     use super::*;
     use proptest::prelude::*;
 
@@ -284,7 +297,7 @@ mod proptests {
             };
             for op in ops {
                 if op >= 24 {
-                    w.drain_due_into(now, &mut got);
+                    drain(&mut w, now, &mut got);
                     drain_model(&mut model, now, &mut want);
                     prop_assert_eq!(&got, &want, "divergence at cycle {}", now);
                     prop_assert_eq!(w.len(), model.len());
@@ -298,7 +311,7 @@ mod proptests {
             }
             // Flush: drain far enough to deliver every pending entry.
             for _ in 0..32 {
-                w.drain_due_into(now, &mut got);
+                drain(&mut w, now, &mut got);
                 drain_model(&mut model, now, &mut want);
                 now += 1;
             }
@@ -326,7 +339,7 @@ mod proptests {
             let mut same_cycle = Vec::new();
             for now in 0..=target {
                 out.clear();
-                w.drain_due_into(now, &mut out);
+                drain(&mut w, now, &mut out);
                 if now == target {
                     same_cycle = out.clone();
                 }
@@ -354,7 +367,7 @@ mod proptests {
             let mut out = Vec::new();
             for now in 0..=at {
                 out.clear();
-                w.drain_due_into(now, &mut out);
+                drain(&mut w, now, &mut out);
                 delivered.extend(out.iter().map(|&i| (now, i)));
             }
             prop_assert!(w.is_empty());

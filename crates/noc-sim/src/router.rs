@@ -167,8 +167,9 @@ pub fn route_compute(
     }
 }
 
-/// Attempted VC allocation for a head flit whose output port has been chosen
-/// (`pending`). Returns `(out_port, out_vc, escape)`.
+/// Attempted VC allocation for a head flit at `here`, bound for `dest`, whose
+/// output port has been chosen (`pending`). Returns `(out_port, out_vc,
+/// escape)`.
 ///
 /// Duato escape fallback: when no normal VC is free on the pending port, the
 /// packet may instead enter the *escape VC* of any west-first-legal
@@ -178,13 +179,13 @@ pub fn try_alloc(
     in_escape: bool,
     pending: PortId,
     here: Coord,
+    dest: Coord,
     cfg: &NetConfig,
     down: CreditView<'_>,
 ) -> Option<(PortId, usize, bool)> {
     let vnet = cfg.vnet_of(flit.class);
     if in_escape {
         // Restricted to west-first candidates, escape VCs only.
-        let dest = flit.dest.to_coord(cfg.cols);
         for &d in west_first(here, dest).as_slice() {
             if let Some(vc) = down.free_escape(d.index(), vnet) {
                 return Some((d.index(), vc, true));
@@ -196,7 +197,6 @@ pub fn try_alloc(
         return Some((pending, vc, false));
     }
     if cfg.routing.has_escape() {
-        let dest = flit.dest.to_coord(cfg.cols);
         for &d in west_first(here, dest).as_slice() {
             if let Some(vc) = down.free_escape(d.index(), vnet) {
                 return Some((d.index(), vc, true));
@@ -336,6 +336,7 @@ mod tests {
             false,
             Direction::East.index(),
             Coord::new(0, 0),
+            f.dest.to_coord(c.cols),
             &c,
             d.view(0),
         );
@@ -360,6 +361,7 @@ mod tests {
             false,
             Direction::East.index(),
             Coord::new(0, 0),
+            f.dest.to_coord(c.cols),
             &c,
             d.view(0),
         );
@@ -375,6 +377,7 @@ mod tests {
             false,
             Direction::West.index(),
             Coord::new(2, 1),
+            f2.dest.to_coord(c.cols),
             &c,
             d.view(0),
         );
@@ -394,6 +397,7 @@ mod tests {
             true,
             Direction::East.index(),
             Coord::new(0, 0),
+            f.dest.to_coord(c.cols),
             &c,
             d.view(0),
         );

@@ -56,21 +56,38 @@ impl FromIterator<Direction> for Candidates {
     }
 }
 
-/// The productive (distance-reducing) directions from `from` toward `to`.
+/// The productive (distance-reducing) directions from `from` toward `to`
+/// as a bitmask over [`Direction::index`]. Zero when `from == to`.
+#[inline]
+pub fn productive_mask(from: Coord, to: Coord) -> u8 {
+    use std::cmp::Ordering::{Greater, Less};
+    let bit = |d: Direction| 1u8 << d.index();
+    let x = match to.x.cmp(&from.x) {
+        Greater => bit(Direction::East),
+        Less => bit(Direction::West),
+        _ => 0,
+    };
+    let y = match to.y.cmp(&from.y) {
+        Greater => bit(Direction::South),
+        Less => bit(Direction::North),
+        _ => 0,
+    };
+    x | y
+}
+
+/// The productive directions from `from` toward `to`, x direction first.
 /// Empty when `from == to` (the packet ejects locally).
 pub fn productive(from: Coord, to: Coord) -> Candidates {
-    let mut c = Candidates::EMPTY;
-    if to.x > from.x {
-        c.push(Direction::East);
-    } else if to.x < from.x {
-        c.push(Direction::West);
-    }
-    if to.y > from.y {
-        c.push(Direction::South);
-    } else if to.y < from.y {
-        c.push(Direction::North);
-    }
-    c
+    let m = productive_mask(from, to);
+    [
+        Direction::East,
+        Direction::West,
+        Direction::South,
+        Direction::North,
+    ]
+    .into_iter()
+    .filter(|d| m & (1 << d.index()) != 0)
+    .collect()
 }
 
 /// Dimension-ordered XY: all X hops, then all Y hops. Deterministic and
@@ -185,6 +202,7 @@ pub fn hop_dir(a: Coord, b: Coord) -> Direction {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noc_types::NodeId;
 
     const fn c(x: u8, y: u8) -> Coord {
         Coord::new(x, y)
@@ -197,6 +215,49 @@ mod tests {
         assert!(p.contains(Direction::East));
         assert!(p.contains(Direction::North));
         assert!(productive(c(2, 2), c(2, 2)).is_empty());
+    }
+
+    #[test]
+    fn productive_mask_matches_productive_on_every_pair() {
+        for (cols, rows) in [(8u8, 8u8), (3, 5)] {
+            for f in 0..u16::from(cols) * u16::from(rows) {
+                for t in 0..u16::from(cols) * u16::from(rows) {
+                    let (from, to) = (NodeId(f).to_coord(cols), NodeId(t).to_coord(cols));
+                    let set = productive(from, to);
+                    let bits = set.as_slice().iter().fold(0u8, |m, d| m | 1 << d.index());
+                    assert_eq!(productive_mask(from, to), bits, "{from} -> {to}");
+                    // And both are the distance-reducing hops.
+                    let closer = Direction::CARDINAL
+                        .into_iter()
+                        .filter(|d| {
+                            d.step(from, cols, rows)
+                                .is_some_and(|n| n.manhattan(to) < from.manhattan(to))
+                        })
+                        .fold(0u8, |m, d| m | 1 << d.index());
+                    assert_eq!(bits, closer, "{from} -> {to}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn productive_lists_x_before_y() {
+        use Direction::{East, North, South, West};
+        assert_eq!(productive(c(1, 1), c(3, 0)).as_slice(), &[East, North]);
+        assert_eq!(productive(c(3, 0), c(1, 2)).as_slice(), &[West, South]);
+        assert_eq!(productive(c(2, 0), c(2, 3)).as_slice(), &[South]);
+        assert_eq!(productive(c(2, 3), c(0, 3)).as_slice(), &[West]);
+    }
+
+    #[test]
+    fn network_coords_table_matches_to_coord() {
+        let mut cfg = noc_types::NetConfig::synth(4, 2);
+        (cfg.cols, cfg.rows) = (5, 3);
+        let net = crate::network::Network::new(cfg);
+        assert_eq!(net.coords.len(), 15);
+        for (i, &at) in net.coords.iter().enumerate() {
+            assert_eq!(at, NodeId(i as u16).to_coord(5), "node {i}");
+        }
     }
 
     #[test]

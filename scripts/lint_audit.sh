@@ -179,6 +179,29 @@ if [ -n "$stray" ]; then
     complain "'skipped_cycles' must appear only in crates/noc-sim/src/network.rs, found in [$(echo $stray)]"
 fi
 
+# 9. The per-flit phases divide by no runtime value and deliver in one
+#    pass. Per-cycle code reads a destination's coordinate from
+#    `Network::coords`, so in production code `to_coord(` appears in
+#    network.rs only inside `Network::new` (which builds the table) and in
+#    router.rs only inside `Router::new`; the second delivery pass's
+#    `scratch_arrivals` buffer appears nowhere.
+for rule in 'crates/noc-sim/src/network.rs=-> Network {' \
+            'crates/noc-sim/src/router.rs=-> Router {'; do
+    f=${rule%%=*}
+    ctor=${rule#*=}
+    total=$(prod_code "$f" | grep -c 'to_coord(')
+    inside=$(prod_code "$f" | sed -n "/^    pub fn new(.*$ctor\$/,/^    }\$/p" | grep -c 'to_coord(')
+    if [ "$total" -ne "$inside" ]; then
+        complain "$f calls 'to_coord(' $total time(s), $inside inside its constructor; per-cycle code reads Network::coords"
+    fi
+done
+back=$(prod_files | while read -r f; do
+    prod_code "$f" | grep -qw 'scratch_arrivals' && echo "$f"
+done)
+if [ -n "$back" ]; then
+    complain "the second delivery pass is back in [$(echo $back)]"
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "lint-audit: FAILED" >&2
     exit 1
